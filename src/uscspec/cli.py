@@ -61,7 +61,7 @@ from .spectra import (
     matrix_element_report,
     reflectivity_spectrum,
 )
-from .steady import steady_state
+from .steady import liouvillian_blocks, steady_state
 
 THREAD_ENV_VAR = "USCSPEC_THREADS"
 ENERGY_AUDIT_TOL = 1e-7
@@ -90,13 +90,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    parameter: str  # "eta" | "epsilon" | "omega_d" | "none"
+    parameter: str  # "eta" | "epsilon" | "none"
     start: float = 0.0
     stop: float = 0.0
     points: int = 1
 
     def __post_init__(self):
-        if self.parameter not in ("eta", "epsilon", "omega_d", "none"):
+        if self.parameter not in ("eta", "epsilon", "none"):
             raise ConfigInvalid(f"unknown sweep parameter {self.parameter!r}")
         if self.points < 1:
             raise ConfigInvalid(f"sweep points must be >= 1, got {self.points}")
@@ -428,10 +428,11 @@ def _emission_one_point(config: RunConfig, params: SystemParams,
     channels = [b.resolve(params, probe) for b in config.baths]
     lg = build_gme(basis, channels, config.gme, params)
     l_total = total_liouvillian(basis, lg)
-    rho = steady_state(l_total)
+    blocks = liouvillian_blocks(l_total)
+    rho = steady_state(l_total, blocks=blocks)
     x_dot = emission_probe(params, probe, basis)
-    series = emission_spectrum(l_total, rho, x_dot, grid,
-                               log_floor=config.output.log_floor, method=method)
+    series = emission_spectrum(l_total, rho, x_dot, grid, log_floor=config.output.log_floor,
+                               method=method, blocks=blocks)
     return series.values
 
 
@@ -485,22 +486,28 @@ def run_reflectivity(config: RunConfig, out_dir: Path, threads: int) -> None:
         if probe not in PROBE_COUPLING:
             raise ConfigInvalid(f"probe {probe.value!r} has no port coupling rule")
 
-        def task(params, _probe=probe):
-            qb = qubit_specs[0].resolve(params, _probe)
+    def task(params):
+        qb = qubit_specs[0].resolve(params, None)
+        solved = {}  # probes sharing a port coupling share its Floquet solves
+        rows = []
+        for probe in config.probes:
             try:
-                return reflectivity_spectrum(
-                    params, _probe, omega_d, qb, port.gamma, port.temperature,
+                rows.append(reflectivity_spectrum(
+                    params, probe, omega_d, qb, port.gamma, port.temperature,
                     drive.b_in, drive.phase, config.gme, drive.floquet_order,
-                )
+                    solved=solved,
+                ))
             except UscSpecError as exc:
                 raise SolverFailure(
-                    f"probe={_probe.value} epsilon={params.epsilon}: {exc}"
+                    f"probe={probe.value} epsilon={params.epsilon}: {exc}"
                 ) from exc
+        return rows
 
-        maps = _parallel_map(task, params_list, threads)
+    maps = _parallel_map(task, params_list, threads)
+    for k, probe in enumerate(config.probes):
         rows = []
-        for value, row_vals in zip(values, maps):
-            for wd, s11 in zip(omega_d, row_vals):
+        for value, point_rows in zip(values, maps):
+            for wd, s11 in zip(omega_d, point_rows[k]):
                 rows.append((wd, value, s11))
         write_csv(out_dir / f"reflectivity_{probe.value}.csv",
                   ["omega_d_over_omega_r", "epsilon_over_omega_r", "S11"], rows)

@@ -97,8 +97,15 @@ class QubitFrame:
     @classmethod
     def from_bias(cls, delta: float, epsilon: float) -> "QubitFrame":
         omega0 = qubit_frequency(delta, epsilon)
-        cos_t = epsilon / omega0
-        sin_t = delta / omega0
+        # cos and sin come from the biases scaled by a power of two to order
+        # one. The scaling is exact, so wherever epsilon / omega0 and
+        # delta / omega0 are normal numbers the bits are the same as theirs;
+        # subnormal biases no longer lose their ratio when hypot rounds.
+        _, exponent = math.frexp(max(abs(delta), abs(epsilon)))
+        d, e = math.ldexp(delta, -exponent), math.ldexp(epsilon, -exponent)
+        norm = math.hypot(d, e)
+        cos_t = e / norm
+        sin_t = d / norm
         return cls(omega0=omega0, theta=math.atan2(sin_t, cos_t), cos_theta=cos_t, sin_theta=sin_t)
 
     @classmethod

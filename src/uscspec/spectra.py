@@ -69,6 +69,7 @@ def emission_spectrum(
     grid: np.ndarray,
     log_floor: float = 1e-6,
     method: str = "solve",
+    blocks: list[np.ndarray] | None = None,
 ) -> SpectrumSeries:
     """Steady-state power spectrum via the quantum regression theorem.
 
@@ -78,34 +79,54 @@ def emission_spectrum(
     resolvent as a pole sum, which wins for long grids. ``x_dot`` must
     already be expressed in the dressed basis of ``l`` so the triangular
     frequency split applies.
+
+    ``blocks`` is the partition from ``steady.liouvillian_blocks(l)``; the
+    resolvent is then taken block by block, and without it L is one block.
+    A block on which Xdot^(+) rho_ss or the probe vector vanishes adds
+    nothing and is skipped. A 1x1 block is a pole at L_kk in closed form; the
+    larger ones are diagonalized (``eig``) or solved per grid point
+    (``solve``) on their own.
     """
     lm = l.matrix if isinstance(l, Superoperator) else np.asarray(l)
-    n = lm.shape[0]
     grid = np.asarray(grid, dtype=float)
+    if method not in ("eig", "solve"):
+        raise ValueError(f"unknown method {method!r}")
     x_plus = frequency_components(x_dot, "plus")
     x_minus = frequency_components(x_dot, "minus")
     b = (x_plus @ rho_ss).reshape(-1)
     probe = x_minus.T.reshape(-1)  # Tr[X- M] = vec(X-^T) . vec(M)
+    if blocks is None or len(blocks) == 1:
+        single, multi = np.zeros(0, dtype=int), [(lm, b, probe)]
+    else:
+        live = [blk for blk in blocks if b[blk].any() and probe[blk].any()]
+        single = np.array([blk[0] for blk in live if blk.size == 1], dtype=int)
+        multi = [(lm[np.ix_(blk, blk)], b[blk], probe[blk]) for blk in live if blk.size > 1]
+
+    evals = [lm[single, single]]
+    weights = [probe[single] * b[single]]
     if method == "eig":
-        try:
-            evals, evecs = scipy.linalg.eig(lm)
-            weights = (probe @ evecs) * scipy.linalg.solve(evecs, b)
-        except scipy.linalg.LinAlgError as exc:
-            raise ResolventSingular(f"Liouvillian eigenbasis failed: {exc}") from exc
-        values = np.array([
-            float(np.real(np.sum(weights / (1j * omega - evals)))) for omega in grid
-        ])
-        return SpectrumSeries(grid=grid, values=values, log_floor=log_floor)
-    if method != "solve":
-        raise ValueError(f"unknown method {method!r}")
-    values = np.empty_like(grid)
-    eye = np.eye(n, dtype=complex)
-    for idx, omega in enumerate(grid):
-        try:
-            sol = scipy.linalg.solve(1j * omega * eye - lm, b)
-        except scipy.linalg.LinAlgError as exc:
-            raise ResolventSingular(f"resolvent singular at omega={omega}: {exc}") from exc
-        values[idx] = float(np.real(probe @ sol))
+        for sub, rhs, lhs in multi:
+            try:
+                block_evals, evecs = scipy.linalg.eig(sub)
+                block_weights = (lhs @ evecs) * scipy.linalg.solve(evecs, rhs)
+            except scipy.linalg.LinAlgError as exc:
+                raise ResolventSingular(f"Liouvillian eigenbasis failed: {exc}") from exc
+            evals.append(block_evals)
+            weights.append(block_weights)
+    evals = np.concatenate(evals)
+    weights = np.concatenate(weights)
+    values = np.array([
+        float(np.real(np.sum(weights / (1j * omega - evals)))) for omega in grid
+    ])
+    if method == "solve":
+        for sub, rhs, lhs in multi:
+            eye = np.eye(sub.shape[0], dtype=complex)
+            for idx, omega in enumerate(grid):
+                try:
+                    sol = scipy.linalg.solve(1j * omega * eye - sub, rhs)
+                except scipy.linalg.LinAlgError as exc:
+                    raise ResolventSingular(f"resolvent singular at omega={omega}: {exc}") from exc
+                values[idx] += np.real(lhs @ sol)
     return SpectrumSeries(grid=grid, values=values, log_floor=log_floor)
 
 
@@ -169,33 +190,48 @@ def reflectivity_spectrum(
     phase: float = 0.0,
     config: GmeConfig | None = None,
     order: int = 2,
+    solved: dict | None = None,
 ) -> np.ndarray:
     """S11(w_d) for one parameter point; the port couples through the operator
-    implied by the probe (X_C for the capacitive probe, X_M otherwise)."""
+    implied by the probe (X_C for the capacitive probe, X_M otherwise).
+
+    ``solved`` is an optional dict, created by the caller, that keeps the
+    dressed basis and Floquet harmonics of each call under everything they
+    depend on, which is every argument but the probe. Probes that share a port
+    coupling (X_M and a + a^dag) then share one GME assembly and one Floquet
+    solve per drive frequency.
+    """
     from .gme import resonator_channel
 
     coupling, sign = PROBE_COUPLING[probe]
-    channels = [
-        resonator_channel(gamma_port, port_temperature, coupling, params.omega_r),
-        qubit_bath,
-    ]
     config = config or GmeConfig()
-    basis = dressed_basis(params)
-    lg = build_gme(basis, channels, config, params)
-    l_total = total_liouvillian(basis, lg)
-    x_drive = basis.to_dressed(build_output_operator(coupling, params))
+    omega_d_grid = np.asarray(omega_d_grid, dtype=float)
+    key = (params, coupling, tuple(omega_d_grid), qubit_bath, gamma_port,
+           port_temperature, b_in, phase, config, order)
+    solved = {} if solved is None else solved
+    if key not in solved:
+        channels = [
+            resonator_channel(gamma_port, port_temperature, coupling, params.omega_r),
+            qubit_bath,
+        ]
+        basis = dressed_basis(params)
+        lg = build_gme(basis, channels, config, params)
+        l_total = total_liouvillian(basis, lg)
+        x_drive = basis.to_dressed(build_output_operator(coupling, params))
+        harmonics = []
+        for omega_d in omega_d_grid:
+            lp, lmn = build_drive_superoperators(
+                x_drive, gamma_port, b_in, phase, omega_d, sign, params.omega_r
+            )
+            harmonics.append(floquet_harmonics(l_total, lp, lmn, omega_d, order=order))
+        solved[key] = basis, harmonics
+    basis, harmonics = solved[key]
     x_probe = basis.to_dressed(build_output_operator(probe, params))
     x_probe_plus = frequency_components(x_probe, "plus")
-    out = np.empty(len(omega_d_grid))
-    for idx, omega_d in enumerate(np.asarray(omega_d_grid, dtype=float)):
-        lp, lmn = build_drive_superoperators(
-            x_drive, gamma_port, b_in, phase, omega_d, sign, params.omega_r
-        )
-        harm = floquet_harmonics(l_total, lp, lmn, omega_d, order=order)
-        out[idx] = reflectivity_point(
-            harm, x_probe_plus, gamma_port, b_in, omega_d, sign, params.omega_r
-        )
-    return out
+    return np.array([
+        reflectivity_point(harm, x_probe_plus, gamma_port, b_in, omega_d, sign, params.omega_r)
+        for harm, omega_d in zip(harmonics, omega_d_grid)
+    ])
 
 
 def reflectivity_sweep(

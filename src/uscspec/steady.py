@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.csgraph
 
 from .errors import (
     DegenerateSteadyState,
@@ -24,10 +26,66 @@ def _as_matrix(l) -> np.ndarray:
     return l.matrix if isinstance(l, Superoperator) else np.asarray(l)
 
 
+def liouvillian_blocks(l) -> list[np.ndarray]:
+    """Index sets of the blocks of a generator, from its exact zero pattern.
+
+    The blocks are the connected components of the graph with an edge
+    wherever L[i, j] != 0 or L[j, i] != 0, so no entry of L couples two
+    blocks and every linear solve with L splits into one solve per block.
+    Each block is an ascending array of flattened indices. In the secular
+    (``filter_b = 0``) generator a coherence rho_ab only couples to
+    coherences of the same Bohr frequency, which makes the blocks small; a
+    dense generator is one block.
+    """
+    lm = _as_matrix(l)
+    rows, cols = np.nonzero(lm)
+    graph = scipy.sparse.coo_matrix(
+        (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=lm.shape
+    )
+    _, labels = scipy.sparse.csgraph.connected_components(graph, connection="weak")
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
+
+
+def _trace_one_solve(lm: np.ndarray, populations: np.ndarray) -> np.ndarray | None:
+    """Solve L vec = 0 with its last row replaced by the trace row.
+
+    The last row must be a population row: trace preservation makes the
+    population rows of L sum to zero, so dropping one of them loses nothing.
+    Returns None when that matrix is singular.
+    """
+    n = lm.shape[0]
+    m = lm.copy()
+    m[-1, :] = 0.0
+    m[-1, populations] = 1.0
+    rhs = np.zeros(n, dtype=complex)
+    rhs[-1] = 1.0
+    try:
+        return np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _population_block_solve(lm: np.ndarray, d: int, blocks) -> np.ndarray | None:
+    """``_trace_one_solve`` on the block holding the populations, scattered
+    into the full vector; None when the populations span several blocks."""
+    block = next(b for b in blocks if b[0] == 0)  # index 0 is rho_00
+    populations = block % (d + 1) == 0
+    if np.count_nonzero(populations) != d:
+        return None
+    sub = _trace_one_solve(lm[np.ix_(block, block)], populations)
+    if sub is None:
+        return None
+    vec = np.zeros(lm.shape[0], dtype=complex)
+    vec[block] = sub
+    return vec
+
+
 def steady_state(
     l,
     check_uniqueness: bool = False,
     residual_tol: float = STEADY_RESIDUAL_TOL,
+    blocks: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Unique trace-one steady state of a trace-preserving Liouvillian.
 
@@ -36,21 +94,27 @@ def steady_state(
     ill-conditioned the smallest right singular vector is used instead. With
     ``check_uniqueness`` the second-smallest singular value of L is verified to
     exceed the null-space gap tolerance (expensive: full SVD).
+
+    ``blocks`` is the partition from ``liouvillian_blocks(l)``. When it has
+    more than one block and all populations lie in one of them, that block
+    alone is solved and the result is checked against the full L. If the
+    populations span several blocks, or that solve or its check fails, the
+    dense path above runs instead, so degenerate and non-convergent
+    generators raise as they do without ``blocks``.
     """
     lm = _as_matrix(l)
     n = lm.shape[0]
     d = int(round(n**0.5))
-    trace_row = np.zeros(n, dtype=complex)
-    trace_row[:: d + 1] = 1.0
-    m = lm.copy()
-    m[-1, :] = trace_row
-    rhs = np.zeros(n, dtype=complex)
-    rhs[-1] = 1.0
-    try:
-        vec = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError:
-        vec = None
-    if vec is None or not np.isfinite(vec).all() or np.linalg.norm(lm @ vec) > residual_tol:
+
+    def converged(v):
+        return v is not None and np.isfinite(v).all() and np.linalg.norm(lm @ v) <= residual_tol
+
+    vec = None
+    if blocks is not None and len(blocks) > 1:
+        vec = _population_block_solve(lm, d, blocks)
+    if not converged(vec):
+        vec = _trace_one_solve(lm, np.arange(0, n, d + 1))
+    if not converged(vec):
         # fall back to the null vector from an SVD of L itself
         _, s, vh = np.linalg.svd(lm)
         vec = vh[-1].conj()

@@ -104,6 +104,18 @@ class TestMainExitCodes:
         err = json.loads((out / "error.json").read_text())
         assert err["type"] == "ConfigInvalid"
 
+    def test_omega_d_sweep_exits_2(self, tmp_path):
+        # no mode sweeps the drive frequency; it comes from the grid block
+        cfg = _emission_config(
+            sweep={"parameter": "omega_d", "start": 0.5, "stop": 1.5, "points": 3})
+        path = _write(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["emission", "--config", path, "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "ConfigInvalid"
+        assert "omega_d" in err["error"]
+        assert not (out / "emission_X_C.csv").exists()
+
     def test_reflectivity_requires_drive(self, tmp_path):
         cfg = _emission_config(mode="reflectivity")
         path = _write(tmp_path, cfg)

@@ -79,6 +79,17 @@ class TestSigmaTildeX:
         s = sigma_tilde_x_2x2(frame)
         np.testing.assert_allclose(s @ s, np.eye(2), atol=1e-12)
 
+    @pytest.mark.parametrize("delta, epsilon", [
+        (5e-324, 5e-324), (5e-324, -1e-320), (2.5e-310, 0.0), (0.0, -5e-324),
+    ])
+    def test_subnormal_bias_squares_to_identity(self, delta, epsilon):
+        # hypot rounds a subnormal pair to the nearest subnormal, which once
+        # made cos and sin both 1
+        frame = QubitFrame.from_bias(delta, epsilon)
+        assert frame.cos_theta**2 + frame.sin_theta**2 == pytest.approx(1.0, abs=1e-15)
+        s = sigma_tilde_x_2x2(frame)
+        np.testing.assert_allclose(s @ s, np.eye(2), atol=1e-12)
+
 
 class TestStaticHamiltonian:
     def test_decoupled_spectrum(self):
