@@ -72,6 +72,11 @@ SPECTRUM_AUDIT_TOL = 1e-6
 # configuration
 # ---------------------------------------------------------------------------
 
+def _check_points(block: str, points) -> None:
+    if isinstance(points, bool) or not isinstance(points, int) or points < 1:
+        raise ConfigInvalid(f"{block} points must be an integer >= 1, got {points!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     start: float
@@ -79,10 +84,11 @@ class GridSpec:
     points: int
 
     def __post_init__(self):
-        if self.points < 1:
-            raise ConfigInvalid(f"grid points must be >= 1, got {self.points}")
-        if self.start > self.stop:
-            raise ConfigInvalid(f"grid start {self.start} > stop {self.stop}")
+        _check_points("grid", self.points)
+        if self.start > self.stop or (self.points > 1 and self.start == self.stop):
+            raise ConfigInvalid(
+                f"grid start {self.start} must be below stop {self.stop} for {self.points} points"
+            )
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
@@ -98,8 +104,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.parameter not in ("eta", "epsilon", "none"):
             raise ConfigInvalid(f"unknown sweep parameter {self.parameter!r}")
-        if self.points < 1:
-            raise ConfigInvalid(f"sweep points must be >= 1, got {self.points}")
+        _check_points("sweep", self.points)
         if self.points > 1 and self.start > self.stop:
             raise ConfigInvalid(f"sweep start {self.start} > stop {self.stop}")
 
@@ -197,12 +202,35 @@ class RunConfig:
             raise ConfigInvalid(f"unknown labeling {self.labeling!r}")
         if self.emission_method not in ("auto", "solve", "eig"):
             raise ConfigInvalid(f"unknown emission_method {self.emission_method!r}")
+        if self.mode == "reflectivity":
+            if self.sweep.parameter == "eta":
+                raise ConfigInvalid("reflectivity sweeps run over epsilon (or none)")
+            kinds = [b.which for b in self.baths]
+            if kinds.count("qubit") != 1 or kinds.count("resonator") != 1:
+                raise ConfigInvalid("reflectivity needs exactly one qubit and one resonator bath")
+            for probe in self.probes:
+                if probe not in PROBE_COUPLING:
+                    raise ConfigInvalid(f"probe {probe.value!r} has no port coupling rule")
+        try:
+            _sweep_params(self)
+        except (TypeError, ValueError, UscSpecError) as exc:
+            raise ConfigInvalid(f"invalid sweep point: {exc}") from exc
 
 
 def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
         raise ConfigInvalid(f"missing required key {key!r} in {context}")
     return mapping[key]
+
+
+def _block(cls, block, context: str):
+    """``cls(**block)`` for one config block; any malformed block is a ConfigInvalid."""
+    if not isinstance(block, dict):
+        raise ConfigInvalid(f"{context} must be a mapping, got {block!r}")
+    try:
+        return cls(**block)
+    except (TypeError, ValueError, UscSpecError) as exc:
+        raise ConfigInvalid(f"invalid {context}: {exc}") from exc
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -214,25 +242,22 @@ def parse_config(raw: dict) -> RunConfig:
     if unknown:
         raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
 
-    sysblock = dict(_require(raw, "system", "config"))
-    kind = sysblock.pop("model_kind", "circuit")
+    sysblock = _require(raw, "system", "config")
+    if not isinstance(sysblock, dict):
+        raise ConfigInvalid(f"system block must be a mapping, got {sysblock!r}")
+    kind = sysblock.get("model_kind", "circuit")
     try:
         model_kind = ModelKind(kind)
     except ValueError as exc:
         raise ConfigInvalid(f"unknown model_kind {kind!r}") from exc
-    try:
-        system = SystemParams(model_kind=model_kind, **sysblock)
-    except (TypeError, ValueError, UscSpecError) as exc:
-        raise ConfigInvalid(f"invalid system block: {exc}") from exc
+    system = _block(SystemParams, {**sysblock, "model_kind": model_kind}, "system block")
 
-    baths = tuple(BathSpec(**b) for b in _require(raw, "baths", "config"))
-    if not baths:
-        raise ConfigInvalid("at least one bath is required")
+    bath_blocks = _require(raw, "baths", "config")
+    if not isinstance(bath_blocks, list) or not bath_blocks:
+        raise ConfigInvalid("baths must be a non-empty list")
+    baths = tuple(_block(BathSpec, b, "bath") for b in bath_blocks)
 
-    try:
-        gme = GmeConfig(**raw.get("gme", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"invalid gme block: {exc}") from exc
+    gme = _block(GmeConfig, raw.get("gme", {}), "gme block")
 
     probes = []
     for name in raw.get("probes", []):
@@ -241,17 +266,20 @@ def parse_config(raw: dict) -> RunConfig:
         except ValueError as exc:
             raise ConfigInvalid(f"unknown probe {name!r}") from exc
 
-    grid = GridSpec(**raw["grid"]) if "grid" in raw else None
-    sweep = SweepSpec(**raw["sweep"]) if "sweep" in raw else SweepSpec("none")
-    drive = DriveSpec(**raw["drive"]) if "drive" in raw else None
-    output = OutputSpec(**raw.get("output", {}))
+    grid = _block(GridSpec, raw["grid"], "grid block") if "grid" in raw else None
+    sweep = _block(SweepSpec, raw["sweep"], "sweep block") if "sweep" in raw else SweepSpec("none")
+    drive = _block(DriveSpec, raw["drive"], "drive block") if "drive" in raw else None
+    output = _block(OutputSpec, raw.get("output", {}), "output block")
 
     me_raw = raw.get("matelems", {})
-    operators = tuple(
-        (op["name"], OutputKind(op["kind"]), bool(op.get("derivative", True)))
-        for op in me_raw.get("operators", [])
-    )
-    transitions = tuple((str(t[0]), str(t[1])) for t in me_raw.get("transitions", []))
+    try:
+        operators = tuple(
+            (op["name"], OutputKind(op["kind"]), bool(op.get("derivative", True)))
+            for op in me_raw.get("operators", [])
+        )
+        transitions = tuple((str(t[0]), str(t[1])) for t in me_raw.get("transitions", []))
+    except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ConfigInvalid(f"invalid matelems block: {exc!r}") from exc
     matelems = MatElemSpec(operators=operators, transitions=transitions)
 
     return RunConfig(
@@ -337,10 +365,8 @@ def write_manifest(out_dir: Path, config: RunConfig, extra: dict | None = None) 
         fh.write("\n")
 
 
-def write_error(out_dir: Path | None, exc: Exception, where: str | None = None) -> None:
+def write_error(out_dir: Path | None, exc: Exception) -> None:
     report = {"error": str(exc), "type": type(exc).__name__}
-    if where is not None:
-        report["grid_point"] = where
     if out_dir is not None and out_dir.exists():
         with open(out_dir / "error.json", "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
@@ -431,9 +457,22 @@ def _emission_one_point(config: RunConfig, params: SystemParams,
     blocks = liouvillian_blocks(l_total)
     rho = steady_state(l_total, blocks=blocks)
     x_dot = emission_probe(params, probe, basis)
-    series = emission_spectrum(l_total, rho, x_dot, grid, log_floor=config.output.log_floor,
-                               method=method, blocks=blocks)
-    return series.values
+    return emission_spectrum(l_total, rho, x_dot, grid, method=method, blocks=blocks).values
+
+
+def _reflectivity_one_point(config: RunConfig, params: SystemParams, probe: OutputKind,
+                            omega_d: np.ndarray, order: int,
+                            solved: dict | None = None) -> np.ndarray:
+    qubit = next(b for b in config.baths if b.which == "qubit")
+    port = next(b for b in config.baths if b.which == "resonator")
+    drive = config.drive
+    try:
+        return reflectivity_spectrum(
+            params, probe, omega_d, qubit.resolve(params, None), port.gamma,
+            port.temperature, drive.b_in, drive.phase, config.gme, order, solved=solved,
+        )
+    except UscSpecError as exc:
+        raise SolverFailure(f"probe={probe.value} epsilon={params.epsilon}: {exc}") from exc
 
 
 def run_emission(config: RunConfig, out_dir: Path, threads: int) -> None:
@@ -471,37 +510,14 @@ def run_emission(config: RunConfig, out_dir: Path, threads: int) -> None:
 
 
 def run_reflectivity(config: RunConfig, out_dir: Path, threads: int) -> None:
-    if config.sweep.parameter in ("eta",):
-        raise ConfigInvalid("reflectivity sweeps run over epsilon (or none)")
     values, params_list = _sweep_params(config)
     omega_d = config.grid.values()
-    drive = config.drive
-    qubit_specs = [b for b in config.baths if b.which == "qubit"]
-    port_specs = [b for b in config.baths if b.which == "resonator"]
-    if len(qubit_specs) != 1 or len(port_specs) != 1:
-        raise ConfigInvalid("reflectivity needs exactly one qubit and one resonator bath")
-    port = port_specs[0]
-
-    for probe in config.probes:
-        if probe not in PROBE_COUPLING:
-            raise ConfigInvalid(f"probe {probe.value!r} has no port coupling rule")
 
     def task(params):
-        qb = qubit_specs[0].resolve(params, None)
         solved = {}  # probes sharing a port coupling share its Floquet solves
-        rows = []
-        for probe in config.probes:
-            try:
-                rows.append(reflectivity_spectrum(
-                    params, probe, omega_d, qb, port.gamma, port.temperature,
-                    drive.b_in, drive.phase, config.gme, drive.floquet_order,
-                    solved=solved,
-                ))
-            except UscSpecError as exc:
-                raise SolverFailure(
-                    f"probe={probe.value} epsilon={params.epsilon}: {exc}"
-                ) from exc
-        return rows
+        return [_reflectivity_one_point(config, params, probe, omega_d,
+                                        config.drive.floquet_order, solved)
+                for probe in config.probes]
 
     maps = _parallel_map(task, params_list, threads)
     for k, probe in enumerate(config.probes):
@@ -572,7 +588,7 @@ def run_audit(config: RunConfig, out_dir: Path, threads: int) -> None:
             "energy_ok": bool(energy_dev <= ENERGY_AUDIT_TOL),
         }
 
-        if config.mode == "emission" and config.probes:
+        if config.mode == "emission":
             grid = config.grid.values()
             probe = config.probes[0]
             s_small = _emission_one_point(config, params, probe, grid, "solve")
@@ -580,22 +596,13 @@ def run_audit(config: RunConfig, out_dir: Path, threads: int) -> None:
             rel = float(np.abs(s_small - s_big).max() / np.abs(s_small).max())
             check["spectrum_rel_dev"] = rel
             check["spectrum_ok"] = bool(rel <= SPECTRUM_AUDIT_TOL)
-        elif config.mode == "reflectivity" and config.probes:
+        elif config.mode == "reflectivity":
             omega_d = config.grid.values()
             sub = omega_d[_audit_sample(omega_d)]
             probe = config.probes[0]
-            drive = config.drive
-            port = [b for b in config.baths if b.which == "resonator"][0]
-            qb_spec = [b for b in config.baths if b.which == "qubit"][0]
-
-            def refl(p, order):
-                return reflectivity_spectrum(
-                    p, probe, sub, qb_spec.resolve(p, probe), port.gamma,
-                    port.temperature, drive.b_in, drive.phase, config.gme, order,
-                )
-
-            s_small = refl(params, drive.floquet_order)
-            s_big = refl(bigger, drive.floquet_order + 2)
+            order = config.drive.floquet_order
+            s_small = _reflectivity_one_point(config, params, probe, sub, order)
+            s_big = _reflectivity_one_point(config, bigger, probe, sub, order + 2)
             rel = float(np.abs(s_small - s_big).max() / np.abs(s_small).max())
             check["spectrum_rel_dev"] = rel
             check["spectrum_ok"] = bool(rel <= SPECTRUM_AUDIT_TOL)
@@ -637,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("eigen", "emission", "reflectivity", "matelems", "audit"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True,
-                       help="YAML config path or bundled name (fig2, fig6)")
+                       help="YAML config path or bundled name (fig2, fig5, fig6)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=None,
                        help=f"worker threads (default: {THREAD_ENV_VAR} or cpu count)")

@@ -261,16 +261,14 @@ def label_states(
     return out
 
 
-def dressed_basis(params: SystemParams, use_parity: bool | None = None) -> DressedBasis:
+def dressed_basis(params: SystemParams) -> DressedBasis:
     """Diagonalize the static Hamiltonian of ``params``.
 
-    Parity-based tie-breaking of degenerate doublets is applied automatically
-    at zero flux offset (where parity is conserved) unless overridden.
+    Degenerate doublets are tie-broken by parity at zero flux offset, where
+    parity is conserved.
     """
     from .model import parity_operator
 
     h = build_static_hamiltonian(params)
-    if use_parity is None:
-        use_parity = params.epsilon == 0.0
-    sym = parity_operator(params.n_fock) if use_parity else None
+    sym = parity_operator(params.n_fock) if params.epsilon == 0.0 else None
     return diagonalize(h, symmetry_op=sym)

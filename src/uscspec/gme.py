@@ -1,7 +1,8 @@
 """Generalized master equation: frequency-dependent thermal Liouvillian with a
 Gaussian secular filter, pure dephasing, and coherent-drive superoperators.
 
-All superoperators act on row-major flattened density matrices:
+All superoperators are dense complex arrays acting on row-major flattened
+density matrices:
 ``vec(rho)[a * d + b] = rho[a, b]``, so ``vec(X rho Y) = kron(X, Y.T) vec(rho)``.
 """
 
@@ -77,8 +78,9 @@ def qubit_channel(gamma: float, temperature: float, delta: float) -> BathChannel
 
 @dataclass(frozen=True)
 class GmeConfig:
-    """Assembly controls: Gaussian filter width, positive-transition threshold,
-    secular shortcut, and the dephasing-weight convention.
+    """Assembly controls: Gaussian filter width (0 selects the secular
+    generator), positive-transition threshold, and the dephasing-weight
+    convention.
 
     ``dephasing_weight`` selects the pure-dephasing rate attached to the qubit
     channel: "printed" uses (gamma_q / delta) * (2 T_q + 1) exactly as stated;
@@ -87,7 +89,6 @@ class GmeConfig:
 
     filter_b: float = 0.0
     omega_min: float = DEFAULT_OMEGA_MIN
-    secular_only: bool = False
     dephasing_weight: str = "printed"
 
     def __post_init__(self):
@@ -95,34 +96,6 @@ class GmeConfig:
             raise ValueError(f"filter_b must be >= 0, got {self.filter_b}")
         if self.dephasing_weight not in ("printed", "bose"):
             raise ValueError(f"unknown dephasing_weight {self.dephasing_weight!r}")
-
-
-def default_filter_width(channels) -> float:
-    """A few linewidths: 10 x the largest channel rate."""
-    return 10.0 * max(ch.gamma for ch in channels)
-
-
-@dataclass(frozen=True)
-class Superoperator:
-    """Dense linear map on flattened density matrices."""
-
-    matrix: np.ndarray
-    provenance: str = ""
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def hilbert_dim(self) -> int:
-        return int(round(self.matrix.shape[0] ** 0.5))
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        d = self.hilbert_dim
-        return (self.matrix @ rho.reshape(-1)).reshape(d, d)
-
-    def __add__(self, other: "Superoperator") -> "Superoperator":
-        return Superoperator(self.matrix + other.matrix, provenance=self.provenance)
 
 
 def spre(x: np.ndarray) -> np.ndarray:
@@ -136,7 +109,7 @@ def spost(y: np.ndarray) -> np.ndarray:
 
 
 def sandwich(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> X rho Y."""
+    """The superoperator of rho -> X rho Y."""
     return np.kron(x, y.T)
 
 
@@ -205,7 +178,7 @@ def build_gme(
     channels: list[BathChannel],
     config: GmeConfig,
     params: SystemParams,
-) -> Superoperator:
+) -> np.ndarray:
     """Assemble the dissipative generalized Liouvillian in the dressed basis.
 
     For every channel and every ordered pair of positive transition frequencies
@@ -230,7 +203,7 @@ def build_gme(
     omega_gap = e[None, :] - e[:, None]
     plus_mask = omega_gap > config.omega_min
 
-    if config.secular_only or config.filter_b == 0.0:
+    if config.filter_b == 0.0:
         def filt(wp, wm):
             return _secular_indicator(wp, wm, config.omega_min)
     else:
@@ -296,31 +269,16 @@ def build_gme(
         k4 = np.einsum("ac,cb,acb->ab", a_minus, a_plus, f3b * w_em_minus[:, :, None])
         lg -= (0.5 * scale) * (spre(k1) + spost(k2) + spre(k3) + spost(k4))
 
-        # -- pure dephasing (qubit channel only) ----------------------------
         if ch.which == ChannelKind.QUBIT:
-            s0 = np.diag(np.diag(x))
-            if config.dephasing_weight == "printed":
-                weight = 2.0 * ch.temperature + 1.0
-            else:
-                nth = 0.0 if ch.temperature == 0.0 else thermal_occupation(
-                    ch.ref_frequency, ch.temperature
-                )
-                weight = 2.0 * nth + 1.0
-            lg += scale * weight * dissipator(s0)
+            lg += _dephasing(x, ch, config)
 
-    return Superoperator(lg, provenance=f"gme(b={config.filter_b}, channels={len(channels)})")
+    return lg
 
 
-def dephasing_superoperator(
-    basis: DressedBasis,
-    channel: BathChannel,
-    params: SystemParams,
-    config: GmeConfig | None = None,
-) -> Superoperator:
-    """Just the pure-dephasing part of a qubit channel (diagnostics and tests)."""
-    config = config or GmeConfig()
-    x = basis.to_dressed(channel_operator(channel, params))
-    s0 = np.diag(np.diag(x))
+def _dephasing(x_dressed: np.ndarray, channel: BathChannel, config: GmeConfig) -> np.ndarray:
+    """Pure-dephasing dissipator of a qubit channel: the zero-frequency
+    (diagonal) part of its dressed coupling operator at rate
+    (gamma / omega_i) (2 T + 1), or (2 n_th + 1) for the "bose" weight."""
     if config.dephasing_weight == "printed":
         weight = 2.0 * channel.temperature + 1.0
     else:
@@ -328,14 +286,25 @@ def dephasing_superoperator(
             channel.ref_frequency, channel.temperature
         )
         weight = 2.0 * nth + 1.0
-    rate = channel.gamma / channel.ref_frequency * weight
-    return Superoperator(rate * dissipator(s0), provenance="dephasing")
+    scale = channel.gamma / channel.ref_frequency
+    return scale * weight * dissipator(np.diag(np.diag(x_dressed)))
 
 
-def total_liouvillian(basis: DressedBasis, lg: Superoperator) -> Superoperator:
+def dephasing_superoperator(
+    basis: DressedBasis,
+    channel: BathChannel,
+    params: SystemParams,
+    config: GmeConfig | None = None,
+) -> np.ndarray:
+    """Just the pure-dephasing part of a qubit channel (diagnostics and tests)."""
+    x = basis.to_dressed(channel_operator(channel, params))
+    return _dephasing(x, channel, config or GmeConfig())
+
+
+def total_liouvillian(basis: DressedBasis, lg: np.ndarray) -> np.ndarray:
     """Full generator -i [H0, rho] + L_g rho in the dressed basis."""
     h = np.diag(basis.energies.astype(complex))
-    return Superoperator(hamiltonian_superoperator(h) + lg.matrix, provenance="liouvillian")
+    return hamiltonian_superoperator(h) + lg
 
 
 def build_drive_superoperators(
@@ -346,7 +315,7 @@ def build_drive_superoperators(
     omega_d: float,
     coupling_sign: int,
     omega_r: float = 1.0,
-) -> tuple[Superoperator, Superoperator]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Coherent-drive superoperators L_{+/-} rho = +/- s |b_in| e^{+/- i phi}
     sqrt(gamma omega_d / omega_r) [X, rho].
 
@@ -364,7 +333,4 @@ def build_drive_superoperators(
     amp = abs(b_in) * np.sqrt(rate_gamma * omega_d / omega_r)
     lp = coupling_sign * amp * np.exp(1j * phase) * comm
     lm = -coupling_sign * amp * np.exp(-1j * phase) * comm
-    return (
-        Superoperator(lp, provenance="drive L+"),
-        Superoperator(lm, provenance="drive L-"),
-    )
+    return lp, lm

@@ -4,7 +4,7 @@ coherent reflectivity, plus matrix-element reports backing the figure sweeps."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -15,7 +15,6 @@ from .errors import ResolventSingular, UnknownLabel, ZeroDrive
 from .gme import (
     BathChannel,
     GmeConfig,
-    Superoperator,
     build_drive_superoperators,
     build_gme,
     total_liouvillian,
@@ -27,7 +26,7 @@ from .model import (
     build_static_hamiltonian,
     heisenberg_derivative,
 )
-from .steady import floquet_harmonics, steady_state, FloquetHarmonics
+from .steady import floquet_harmonics, FloquetHarmonics
 
 
 class Normalization(str, Enum):
@@ -41,33 +40,22 @@ class SpectrumSeries:
     """A sampled power spectrum in arbitrary units.
 
     ``values`` are Re[...] of the regression integral; small negative values at
-    the numerical noise floor are tolerated and clipped only for display.
+    the numerical noise floor are tolerated.
     """
 
     grid: np.ndarray
     values: np.ndarray
-    normalization: Normalization = Normalization.RAW_ARBITRARY
-    log_floor: float = 1e-6
 
     def __post_init__(self):
         if not np.all(np.diff(self.grid) > 0):
             raise ValueError("frequency grid must be strictly increasing")
 
-    def normalized(self, reference: float | None = None) -> np.ndarray:
-        ref = reference if reference is not None else float(self.values.max())
-        return self.values / ref if ref > 0 else self.values
-
-    def log10(self, reference: float | None = None) -> np.ndarray:
-        norm = self.normalized(reference)
-        return np.log10(np.clip(norm, self.log_floor, None))
-
 
 def emission_spectrum(
-    l,
+    l: np.ndarray,
     rho_ss: np.ndarray,
     x_dot: np.ndarray,
     grid: np.ndarray,
-    log_floor: float = 1e-6,
     method: str = "solve",
     blocks: list[np.ndarray] | None = None,
 ) -> SpectrumSeries:
@@ -87,7 +75,6 @@ def emission_spectrum(
     larger ones are diagonalized (``eig``) or solved per grid point
     (``solve``) on their own.
     """
-    lm = l.matrix if isinstance(l, Superoperator) else np.asarray(l)
     grid = np.asarray(grid, dtype=float)
     if method not in ("eig", "solve"):
         raise ValueError(f"unknown method {method!r}")
@@ -96,13 +83,13 @@ def emission_spectrum(
     b = (x_plus @ rho_ss).reshape(-1)
     probe = x_minus.T.reshape(-1)  # Tr[X- M] = vec(X-^T) . vec(M)
     if blocks is None or len(blocks) == 1:
-        single, multi = np.zeros(0, dtype=int), [(lm, b, probe)]
+        single, multi = np.zeros(0, dtype=int), [(l, b, probe)]
     else:
         live = [blk for blk in blocks if b[blk].any() and probe[blk].any()]
         single = np.array([blk[0] for blk in live if blk.size == 1], dtype=int)
-        multi = [(lm[np.ix_(blk, blk)], b[blk], probe[blk]) for blk in live if blk.size > 1]
+        multi = [(l[np.ix_(blk, blk)], b[blk], probe[blk]) for blk in live if blk.size > 1]
 
-    evals = [lm[single, single]]
+    evals = [l[single, single]]
     weights = [probe[single] * b[single]]
     if method == "eig":
         for sub, rhs, lhs in multi:
@@ -127,7 +114,7 @@ def emission_spectrum(
                 except scipy.linalg.LinAlgError as exc:
                     raise ResolventSingular(f"resolvent singular at omega={omega}: {exc}") from exc
                 values[idx] += np.real(lhs @ sol)
-    return SpectrumSeries(grid=grid, values=values, log_floor=log_floor)
+    return SpectrumSeries(grid=grid, values=values)
 
 
 def emission_probe(params: SystemParams, kind: OutputKind, basis: DressedBasis) -> np.ndarray:
@@ -165,18 +152,6 @@ PROBE_COUPLING = {
     OutputKind.QUADRATURE: (OutputKind.INDUCTIVE_M, -1),
     OutputKind.CAPACITIVE_C: (OutputKind.CAPACITIVE_C, +1),
 }
-
-
-@dataclass(frozen=True)
-class ReflectivityMap:
-    """S11 over a (drive frequency x flux offset) grid for one probe."""
-
-    drive_grid: np.ndarray
-    offset_grid: np.ndarray
-    values: np.ndarray  # shape (len(offset_grid), len(drive_grid))
-    probe: OutputKind
-    coupling: OutputKind
-    failed_points: tuple = ()
 
 
 def reflectivity_spectrum(
@@ -232,52 +207,6 @@ def reflectivity_spectrum(
         reflectivity_point(harm, x_probe_plus, gamma_port, b_in, omega_d, sign, params.omega_r)
         for harm, omega_d in zip(harmonics, omega_d_grid)
     ])
-
-
-def reflectivity_sweep(
-    base_params: SystemParams,
-    probe: OutputKind,
-    omega_d_grid: np.ndarray,
-    epsilon_grid: np.ndarray,
-    qubit_gamma: float,
-    qubit_temperature: float,
-    gamma_port: float,
-    port_temperature: float,
-    b_in: float,
-    phase: float = 0.0,
-    config: GmeConfig | None = None,
-    order: int = 2,
-) -> ReflectivityMap:
-    """Reflectivity map over flux offset: everything (Hamiltonian, dressed
-    basis, GME, harmonics) is rebuilt at each epsilon. Failed points are
-    recorded and left as NaN rather than aborting the sweep."""
-    from dataclasses import replace
-
-    from .gme import qubit_channel
-
-    coupling, _ = PROBE_COUPLING[probe]
-    omega_d_grid = np.asarray(omega_d_grid, dtype=float)
-    epsilon_grid = np.asarray(epsilon_grid, dtype=float)
-    values = np.full((epsilon_grid.size, omega_d_grid.size), np.nan)
-    failed = []
-    for row, eps in enumerate(epsilon_grid):
-        params = replace(base_params, epsilon=float(eps))
-        qb = qubit_channel(qubit_gamma, qubit_temperature, params.delta)
-        try:
-            values[row] = reflectivity_spectrum(
-                params, probe, omega_d_grid, qb, gamma_port, port_temperature,
-                b_in, phase, config, order,
-            )
-        except Exception as exc:  # noqa: BLE001 - flagged, not fatal
-            failed.append((float(eps), repr(exc)))
-    return ReflectivityMap(
-        drive_grid=omega_d_grid,
-        offset_grid=epsilon_grid,
-        values=values,
-        probe=probe,
-        coupling=coupling,
-        failed_points=tuple(failed),
-    )
 
 
 @dataclass(frozen=True)

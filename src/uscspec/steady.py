@@ -15,18 +15,13 @@ from .errors import (
     NoConvergence,
     SingularHarmonicSolve,
 )
-from .gme import Superoperator
 
 STEADY_RESIDUAL_TOL = 1e-10
 HARMONIC_RESIDUAL_TOL = 1e-9
 NULLSPACE_GAP_TOL = 1e-10
 
 
-def _as_matrix(l) -> np.ndarray:
-    return l.matrix if isinstance(l, Superoperator) else np.asarray(l)
-
-
-def liouvillian_blocks(l) -> list[np.ndarray]:
+def liouvillian_blocks(l: np.ndarray) -> list[np.ndarray]:
     """Index sets of the blocks of a generator, from its exact zero pattern.
 
     The blocks are the connected components of the graph with an edge
@@ -37,10 +32,9 @@ def liouvillian_blocks(l) -> list[np.ndarray]:
     coherences of the same Bohr frequency, which makes the blocks small; a
     dense generator is one block.
     """
-    lm = _as_matrix(l)
-    rows, cols = np.nonzero(lm)
+    rows, cols = np.nonzero(l)
     graph = scipy.sparse.coo_matrix(
-        (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=lm.shape
+        (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=l.shape
     )
     _, labels = scipy.sparse.csgraph.connected_components(graph, connection="weak")
     order = np.argsort(labels, kind="stable")
@@ -82,7 +76,7 @@ def _population_block_solve(lm: np.ndarray, d: int, blocks) -> np.ndarray | None
 
 
 def steady_state(
-    l,
+    l: np.ndarray,
     check_uniqueness: bool = False,
     residual_tol: float = STEADY_RESIDUAL_TOL,
     blocks: list[np.ndarray] | None = None,
@@ -102,21 +96,20 @@ def steady_state(
     dense path above runs instead, so degenerate and non-convergent
     generators raise as they do without ``blocks``.
     """
-    lm = _as_matrix(l)
-    n = lm.shape[0]
+    n = l.shape[0]
     d = int(round(n**0.5))
 
     def converged(v):
-        return v is not None and np.isfinite(v).all() and np.linalg.norm(lm @ v) <= residual_tol
+        return v is not None and np.isfinite(v).all() and np.linalg.norm(l @ v) <= residual_tol
 
     vec = None
     if blocks is not None and len(blocks) > 1:
-        vec = _population_block_solve(lm, d, blocks)
+        vec = _population_block_solve(l, d, blocks)
     if not converged(vec):
-        vec = _trace_one_solve(lm, np.arange(0, n, d + 1))
+        vec = _trace_one_solve(l, np.arange(0, n, d + 1))
     if not converged(vec):
         # fall back to the null vector from an SVD of L itself
-        _, s, vh = np.linalg.svd(lm)
+        _, s, vh = np.linalg.svd(l)
         vec = vh[-1].conj()
         tr = vec[:: d + 1].sum()
         if abs(tr) < 1e-14:
@@ -128,12 +121,12 @@ def steady_state(
                 "at zero offset the parity sectors each carry a stationary state"
             )
     if check_uniqueness:
-        s = np.linalg.svd(lm, compute_uv=False)
+        s = np.linalg.svd(l, compute_uv=False)
         if s[-2] < NULLSPACE_GAP_TOL:
             raise DegenerateSteadyState(
                 f"Liouvillian null space not unique (sigma_2 = {s[-2]:.3e})"
             )
-    residual = np.linalg.norm(lm @ vec)
+    residual = np.linalg.norm(l @ vec)
     if residual > residual_tol:
         raise NoConvergence(f"steady-state residual {residual:.3e} > {residual_tol:.1e}")
     rho = vec.reshape(d, d)
@@ -159,9 +152,9 @@ class FloquetHarmonics:
 
 
 def floquet_harmonics(
-    l,
-    l_plus,
-    l_minus,
+    l: np.ndarray,
+    l_plus: np.ndarray,
+    l_minus: np.ndarray,
     omega_d: float,
     order: int = 2,
     residual_tol: float = HARMONIC_RESIDUAL_TOL,
@@ -178,21 +171,18 @@ def floquet_harmonics(
         raise ValueError(f"order must be >= 1, got {order}")
     if omega_d <= 0:
         raise ValueError(f"omega_d must be > 0, got {omega_d}")
-    lm = _as_matrix(l)
-    lp = _as_matrix(l_plus)
-    lmn = _as_matrix(l_minus)
-    n = lm.shape[0]
+    n = l.shape[0]
     d = int(round(n**0.5))
     eye = np.eye(n, dtype=complex)
 
     s_prop = {}  # rho^k = s_prop[k] rho^{k-1}, k = order .. 1
     block = None
     for k in range(order, 0, -1):
-        shifted = lm - 1j * k * omega_d * eye
+        shifted = l - 1j * k * omega_d * eye
         if block is not None:
-            shifted = shifted + lmn @ block
+            shifted = shifted + l_minus @ block
         try:
-            block = -scipy.linalg.solve(shifted, lp)
+            block = -scipy.linalg.solve(shifted, l_plus)
         except scipy.linalg.LinAlgError as exc:
             raise SingularHarmonicSolve(f"harmonic block k={k} singular: {exc}") from exc
         s_prop[k] = block
@@ -200,16 +190,16 @@ def floquet_harmonics(
     t_prop = {}  # rho^{-k} = t_prop[k] rho^{-(k-1)}
     block = None
     for k in range(order, 0, -1):
-        shifted = lm + 1j * k * omega_d * eye
+        shifted = l + 1j * k * omega_d * eye
         if block is not None:
-            shifted = shifted + lp @ block
+            shifted = shifted + l_plus @ block
         try:
-            block = -scipy.linalg.solve(shifted, lmn)
+            block = -scipy.linalg.solve(shifted, l_minus)
         except scipy.linalg.LinAlgError as exc:
             raise SingularHarmonicSolve(f"harmonic block k=-{k} singular: {exc}") from exc
         t_prop[k] = block
 
-    folded = lm + lmn @ s_prop[1] + lp @ t_prop[1]
+    folded = l + l_minus @ s_prop[1] + l_plus @ t_prop[1]
     rho0 = steady_state(folded)
 
     comps = {0: rho0}
@@ -226,8 +216,8 @@ def floquet_harmonics(
     for k in range(-order, order + 1):
         above = comps.get(k + 1, np.zeros((d, d), dtype=complex))
         below = comps.get(k - 1, np.zeros((d, d), dtype=complex))
-        row = (lm - 1j * k * omega_d * eye) @ comps[k].reshape(-1)
-        row = row + lp @ below.reshape(-1) + lmn @ above.reshape(-1)
+        row = (l - 1j * k * omega_d * eye) @ comps[k].reshape(-1)
+        row = row + l_plus @ below.reshape(-1) + l_minus @ above.reshape(-1)
         resid = np.linalg.norm(row)
         if resid > residual_tol:
             raise NoConvergence(f"harmonic row k={k} residual {resid:.3e} > {residual_tol:.1e}")

@@ -135,7 +135,7 @@ def test_criterion_02_trace_and_hermiticity_preservation(capsys):
                 ]
                 lm = total_liouvillian(
                     basis, build_gme(basis, channels, GmeConfig(), params)
-                ).matrix
+                )
                 d = params.dim
                 trace_row = np.eye(d).reshape(-1) @ lm
                 assert np.abs(trace_row).max() < 1e-12, (
@@ -162,7 +162,7 @@ def test_criterion_03_secular_limit_matches_lindblad_oracle(capsys):
             resonator_channel(specs[0][1], specs[0][2], specs[0][0]),
             qubit_channel(specs[1][1], specs[1][2], specs[1][3]),
         ]
-        lm = build_gme(basis, channels, GmeConfig(filter_b=0.0), params).matrix
+        lm = build_gme(basis, channels, GmeConfig(filter_b=0.0), params)
 
         from uscspec.gme import channel_operator
 
@@ -196,7 +196,7 @@ def test_criterion_04_regression_spectrum_matches_time_domain(capsys):
             qubit_channel(5e-2, 0.2, params.delta),
         ]
         lm = total_liouvillian(
-            basis, build_gme(basis, channels, GmeConfig(), params)).matrix
+            basis, build_gme(basis, channels, GmeConfig(), params))
         rho = steady_state(lm)
         xd = emission_probe(params, OutputKind.CAPACITIVE_C, basis)
         x_plus = frequency_components(xd, "plus")
@@ -444,7 +444,7 @@ def test_criterion_10_dephasing_switches_with_flux_offset(capsys):
             basis = dressed_basis(params)
             ch = qubit_channel(1e-2, 0.1, params.delta)
             sup = dephasing_superoperator(basis, ch, params)
-            norm = np.abs(sup.matrix).max()
+            norm = np.abs(sup).max()
             if expect_zero:
                 assert norm < 1e-14, f"dephasing norm {norm:.2e} at eps=0"
             else:

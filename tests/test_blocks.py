@@ -31,7 +31,7 @@ def _generator(epsilon, port, filter_b=0.0, eta=0.8, n_fock=7):
         qubit_channel(gamma=1e-2, temperature=0.1, delta=params.delta),
     ]
     lg = build_gme(basis, channels, GmeConfig(filter_b=filter_b), params)
-    return params, basis, total_liouvillian(basis, lg).matrix
+    return params, basis, total_liouvillian(basis, lg)
 
 
 def _dense_steady_state(lm):
@@ -111,7 +111,7 @@ def test_split_populations_raise_as_without_blocks():
     basis = dressed_basis(params)
     channels = [resonator_channel(gamma=1e-3, temperature=0.0,
                                   jump_kind=OutputKind.CAPACITIVE_C)]
-    lm = total_liouvillian(basis, build_gme(basis, channels, GmeConfig(), params)).matrix
+    lm = total_liouvillian(basis, build_gme(basis, channels, GmeConfig(), params))
     blocks = liouvillian_blocks(lm)
     populations = np.arange(0, lm.shape[0], params.dim + 1)
     assert sum(np.isin(populations, blk).any() for blk in blocks) == 2

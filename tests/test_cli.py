@@ -28,6 +28,24 @@ def _emission_config(**overrides):
     return cfg
 
 
+def _reflectivity_config(**overrides):
+    cfg = {
+        "mode": "reflectivity",
+        "system": {"delta": 0.69, "epsilon": 0.0, "eta": 1.01, "n_fock": 4},
+        "baths": [
+            {"which": "resonator", "gamma": 1e-3, "temperature": 0.55,
+             "jump_kind": "match_probe"},
+            {"which": "qubit", "gamma": 5e-3, "temperature": 0.55},
+        ],
+        "probes": ["X_M", "a_plus_adag"],
+        "grid": {"start": 0.9, "stop": 1.0, "points": 2},
+        "sweep": {"parameter": "epsilon", "start": 0.0, "stop": 0.3, "points": 2},
+        "drive": {"b_in": 1e-4},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
 def _write(tmp_path, cfg, name="config.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg))
@@ -115,6 +133,45 @@ class TestMainExitCodes:
         assert err["type"] == "ConfigInvalid"
         assert "omega_d" in err["error"]
         assert not (out / "emission_X_C.csv").exists()
+
+    @pytest.mark.parametrize("mutate", [
+        lambda c: c["grid"].update(bogus=1),
+        lambda c: c.update(grid={"start": 1.0, "stop": 1.0, "points": 5}),
+        lambda c: c["grid"].update(points=2.5),
+        lambda c: c["baths"][1].pop("gamma"),
+        lambda c: c.update(matelems={"operators": [{"name": "x", "kind": "X_Q"}],
+                                     "transitions": [["0", "1-"]]}),
+        lambda c: c.update(system=3),
+        lambda c: c["sweep"].update(start=-0.1),
+    ], ids=["grid-key", "grid-empty-span", "fractional-points", "bath-gamma",
+            "matelems-kind", "system-scalar", "negative-eta"])
+    def test_malformed_config_exits_2(self, tmp_path, mutate):
+        cfg = _emission_config()
+        cfg["system"]["n_fock"] = 4
+        mutate(cfg)
+        path = _write(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["emission", "--config", path, "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "ConfigInvalid"
+        assert not (out / "emission_X_C.csv").exists()
+
+    @pytest.mark.parametrize("command", ["reflectivity", "audit"])
+    @pytest.mark.parametrize("overrides", [
+        {"sweep": {"parameter": "eta", "start": 0.5, "stop": 1.0, "points": 2}},
+        {"baths": [
+            {"which": "resonator", "gamma": 1e-3, "temperature": 0.55, "jump_kind": "X_M"},
+            {"which": "resonator", "gamma": 1e-3, "temperature": 0.55, "jump_kind": "X_C"},
+            {"which": "qubit", "gamma": 5e-3, "temperature": 0.55},
+        ]},
+    ], ids=["eta-sweep", "two-ports"])
+    def test_reflectivity_rules_hold_for_audit(self, tmp_path, command, overrides):
+        path = _write(tmp_path, _reflectivity_config(**overrides))
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "ConfigInvalid"
+        assert not (out / "audit.json").exists()
 
     def test_reflectivity_requires_drive(self, tmp_path):
         cfg = _emission_config(mode="reflectivity")

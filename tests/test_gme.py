@@ -115,14 +115,14 @@ class TestLiouvillianStructure:
     def test_trace_preservation(self, jump_kind, temp):
         params, basis, lg = _standard_setup(jump_kind=jump_kind, t_r=temp,
                                             t_q=temp)
-        lm = total_liouvillian(basis, lg).matrix
+        lm = total_liouvillian(basis, lg)
         d = params.dim
         trace_row = np.eye(d).reshape(-1) @ lm
         assert np.abs(trace_row).max() < 1e-12
 
     def test_hermiticity_preservation(self):
         params, basis, lg = _standard_setup(epsilon=0.3, filter_b=0.05)
-        lm = total_liouvillian(basis, lg).matrix
+        lm = total_liouvillian(basis, lg)
         d = params.dim
         rng = np.random.default_rng(2)
         rho = _random_density_matrix(rng, d)
@@ -136,13 +136,13 @@ class TestLiouvillianStructure:
         def build(gamma):
             ch = [resonator_channel(gamma=gamma, temperature=0.1,
                                     jump_kind=OutputKind.CAPACITIVE_C)]
-            return build_gme(basis, ch, GmeConfig(), params).matrix
+            return build_gme(basis, ch, GmeConfig(), params)
 
         np.testing.assert_allclose(build(2e-3), 2.0 * build(1e-3), atol=1e-15)
 
     def test_zero_temperature_relaxes_to_ground_state(self):
         params, basis, lg = _standard_setup(t_r=0.0, t_q=0.0)
-        lm = total_liouvillian(basis, lg).matrix
+        lm = total_liouvillian(basis, lg)
         rho = steady_state(lm)
         expected = np.zeros_like(rho)
         expected[0, 0] = 1.0  # dressed ground state, basis ordering
@@ -155,18 +155,13 @@ class TestLiouvillianStructure:
         basis = dressed_basis(params)
         ch = [resonator_channel(gamma=1e-3, temperature=temp,
                                 jump_kind=OutputKind.CAPACITIVE_C)]
-        lm = build_gme(basis, ch, GmeConfig(), params).matrix
+        lm = build_gme(basis, ch, GmeConfig(), params)
         rho = steady_state(lm)
         pops = np.real(np.diag(rho))
         boltz = np.exp(-(basis.energies - basis.energies[0]) / temp)
         boltz /= boltz.sum()
         # truncation leaks population near the Fock ceiling; compare low states
         np.testing.assert_allclose(pops[:6], boltz[:6], rtol=1e-6, atol=1e-10)
-
-    def test_secular_flag_matches_zero_bandwidth(self):
-        _, basis, lg_a = _standard_setup(filter_b=0.0)
-        _, _, lg_b = _standard_setup(secular_only=True)
-        np.testing.assert_allclose(lg_a.matrix, lg_b.matrix, atol=1e-18)
 
 
 class TestSecularOracle:
@@ -178,7 +173,7 @@ class TestSecularOracle:
         gamma, temp = 1e-3, 0.3
         ch = [resonator_channel(gamma=gamma, temperature=temp,
                                 jump_kind=OutputKind.CAPACITIVE_C)]
-        lm = build_gme(basis, ch, GmeConfig(secular_only=True), params).matrix
+        lm = build_gme(basis, ch, GmeConfig(filter_b=0.0), params)
 
         x = basis.to_dressed(build_output_operator(OutputKind.CAPACITIVE_C,
                                                    params))
@@ -204,14 +199,14 @@ class TestDephasing:
         basis = dressed_basis(params)
         ch = qubit_channel(gamma=1e-2, temperature=0.1, delta=params.delta)
         sup = dephasing_superoperator(basis, ch, params)
-        assert np.abs(sup.matrix).max() < 1e-14
+        assert np.abs(sup).max() < 1e-14
 
     def test_nonzero_at_finite_bias(self):
         params = SystemParams(delta=1.0, epsilon=0.3, eta=0.6, n_fock=5)
         basis = dressed_basis(params)
         ch = qubit_channel(gamma=1e-2, temperature=0.1, delta=params.delta)
         sup = dephasing_superoperator(basis, ch, params)
-        assert np.abs(sup.matrix).max() > 1e-6
+        assert np.abs(sup).max() > 1e-6
 
     def test_weight_conventions_differ(self):
         params = SystemParams(delta=1.0, epsilon=0.3, eta=0.6, n_fock=5)
@@ -221,7 +216,7 @@ class TestDephasing:
             basis, ch, params, GmeConfig(dephasing_weight="printed"))
         bose = dephasing_superoperator(
             basis, ch, params, GmeConfig(dephasing_weight="bose"))
-        assert np.abs(printed.matrix - bose.matrix).max() > 1e-8
+        assert np.abs(printed - bose).max() > 1e-8
 
 
 class TestDriveSuperoperators:
@@ -236,8 +231,8 @@ class TestDriveSuperoperators:
         lp, lmn = build_drive_superoperators(x, rate_gamma=1e-3, b_in=0.0,
                                              phase=0.0, omega_d=1.0,
                                              coupling_sign=+1)
-        assert np.abs(lp.matrix).max() == 0.0
-        assert np.abs(lmn.matrix).max() == 0.0
+        assert np.abs(lp).max() == 0.0
+        assert np.abs(lmn).max() == 0.0
 
     def test_harmonic_pair_adjoint_pairing(self):
         # (L+ rho)^dagger == L- (rho^dagger): the two sidebands together keep
@@ -249,8 +244,8 @@ class TestDriveSuperoperators:
         rng = np.random.default_rng(3)
         d = params.dim
         rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        out_p = _unvec(lp.matrix @ _vec(rho), d)
-        out_m = _unvec(lmn.matrix @ _vec(rho.conj().T), d)
+        out_p = _unvec(lp @ _vec(rho), d)
+        out_m = _unvec(lmn @ _vec(rho.conj().T), d)
         np.testing.assert_allclose(out_p.conj().T, out_m, atol=1e-13)
 
     def test_trace_annihilation(self):
@@ -261,22 +256,22 @@ class TestDriveSuperoperators:
                                              coupling_sign=+1)
         d = params.dim
         ident = np.eye(d).reshape(-1)
-        assert np.abs(ident @ lp.matrix).max() < 1e-14
-        assert np.abs(ident @ lmn.matrix).max() < 1e-14
+        assert np.abs(ident @ lp).max() < 1e-14
+        assert np.abs(ident @ lmn).max() < 1e-14
 
     def test_coupling_sign_flips_drive(self):
         _, x = self._x()
         kw = dict(rate_gamma=1e-3, b_in=0.05, phase=0.0, omega_d=0.9)
         lp_cap, _ = build_drive_superoperators(x, coupling_sign=+1, **kw)
         lp_ind, _ = build_drive_superoperators(x, coupling_sign=-1, **kw)
-        np.testing.assert_allclose(lp_cap.matrix, -lp_ind.matrix, atol=1e-16)
+        np.testing.assert_allclose(lp_cap, -lp_ind, atol=1e-16)
 
     def test_linear_in_amplitude(self):
         _, x = self._x()
         kw = dict(rate_gamma=1e-3, phase=0.2, omega_d=1.1, coupling_sign=+1)
         lp1, _ = build_drive_superoperators(x, b_in=0.01, **kw)
         lp3, _ = build_drive_superoperators(x, b_in=0.03, **kw)
-        np.testing.assert_allclose(lp3.matrix, 3.0 * lp1.matrix, atol=1e-15)
+        np.testing.assert_allclose(lp3, 3.0 * lp1, atol=1e-15)
 
 
 class TestChannelOperator:

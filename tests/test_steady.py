@@ -29,7 +29,7 @@ def _liouvillian(eta=0.6, epsilon=0.0, n_fock=6, t_r=0.0, t_q=0.1):
         qubit_channel(gamma=1e-2, temperature=t_q, delta=params.delta),
     ]
     lg = build_gme(basis, channels, GmeConfig(), params)
-    return params, basis, total_liouvillian(basis, lg).matrix
+    return params, basis, total_liouvillian(basis, lg)
 
 
 class TestSteadyState:
@@ -66,12 +66,12 @@ def _driven_system(b_in=0.03, omega_d=1.0, phase=0.0, eta=0.6,
         qubit_channel(gamma=5e-3, temperature=0.1, delta=params.delta),
     ]
     lg = build_gme(basis, channels, GmeConfig(), params)
-    lm = total_liouvillian(basis, lg).matrix
+    lm = total_liouvillian(basis, lg)
     x = basis.to_dressed(build_output_operator(OutputKind.CAPACITIVE_C, params))
     lp, lmn = build_drive_superoperators(x, rate_gamma=1e-3, b_in=b_in,
                                          phase=phase, omega_d=omega_d,
                                          coupling_sign=+1)
-    return params, lm, lp.matrix, lmn.matrix, x
+    return params, lm, lp, lmn, x
 
 
 class TestFloquetHarmonics:

@@ -1,0 +1,63 @@
+"""The traced benchmark run (``perfbench/child.py`` in ``trace`` mode) wraps
+module attributes of ``uscspec`` by name. These tests run it on tiny
+configs so that a refactor which renames or bypasses a wrapped attribute
+fails here rather than silently dropping a layer from ``--trace 1``."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+import yaml
+
+ROOT = Path(__file__).resolve().parents[1]
+
+BATHS = [
+    {"which": "resonator", "gamma": 1e-3, "temperature": 0.1, "jump_kind": "match_probe"},
+    {"which": "qubit", "gamma": 1e-2, "temperature": 0.1},
+]
+CONFIGS = {
+    "emission": {
+        "mode": "emission",
+        "system": {"delta": 1.0, "epsilon": 0.0, "eta": 0.5, "n_fock": 4},
+        "baths": BATHS,
+        "probes": ["X_C"],
+        "grid": {"start": 0.5, "stop": 1.5, "points": 8},
+        "sweep": {"parameter": "eta", "start": 0.1, "stop": 0.5, "points": 2},
+    },
+    "reflectivity": {
+        "mode": "reflectivity",
+        "system": {"delta": 0.69, "epsilon": 0.0, "eta": 1.01, "n_fock": 4},
+        "baths": BATHS,
+        "probes": ["X_M", "a_plus_adag"],
+        "grid": {"start": 0.9, "stop": 1.0, "points": 2},
+        "sweep": {"parameter": "epsilon", "start": 0.0, "stop": 0.3, "points": 2},
+        "drive": {"b_in": 1e-4},
+    },
+}
+SPANS = {
+    "emission": {"gme.build_s", "steady.solve_s", "spectra.emission_s"},
+    "reflectivity": {"spectra.reflectivity_self_s", "steady.floquet_s"},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(CONFIGS))
+def test_traced_run_records_every_layer(tmp_path, mode):
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(CONFIGS[mode]))
+    stamps = tmp_path / "stamps.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), str(stamps), "trace",
+         mode, "--config", str(config), "--out", str(tmp_path / "out"), "--threads", "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(stamps.read_text())
+    assert payload["rc"] == 0
+    names = {span["name"] for span in payload["spans"]}
+    assert SPANS[mode] <= names, SPANS[mode] - names
+    if mode == "reflectivity":
+        # X_M and a + a^dag share one port coupling, so nothing is rebuilt
+        assert payload["useful"] == {"gme.build": 1.0, "steady.floquet": 1.0}
