@@ -146,37 +146,6 @@ def build_transition_table(basis: DressedBasis, omega_min: float = DEFAULT_OMEGA
     return TransitionTable(i=ii[keep], j=jj[keep], omega=om[keep], omega_min=omega_min)
 
 
-def per_transition_components(
-    x_dressed: np.ndarray,
-    table: TransitionTable,
-    merge_tol: float = DEFAULT_OMEGA_MIN,
-) -> list[tuple[float, np.ndarray]]:
-    """Resolve the positive-frequency part into single-transition operators.
-
-    Transitions within ``merge_tol`` of each other are merged into one
-    component so degenerate frequencies are not double counted. The summed
-    components reconstruct the omega_min-thresholded upper triangle of X.
-    """
-    if len(table) == 0:
-        return []
-    order = np.argsort(table.omega, kind="stable")
-    comps: list[tuple[float, np.ndarray]] = []
-    dim = x_dressed.shape[0]
-    cur = np.zeros_like(x_dressed)
-    members: list[float] = []
-    for k in order:
-        om = float(table.omega[k])
-        if members and om - members[0] > merge_tol:
-            comps.append((float(np.mean(members)), cur))
-            cur = np.zeros((dim, dim), dtype=complex)
-            members = []
-        i, j = int(table.i[k]), int(table.j[k])
-        cur[i, j] = x_dressed[i, j]
-        members.append(om)
-    comps.append((float(np.mean(members)), cur))
-    return comps
-
-
 def jc_initial_labels(params: SystemParams) -> tuple[str, ...]:
     """Labels for a near-decoupled zero-offset basis, seeded from the JC doublets.
 

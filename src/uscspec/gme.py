@@ -181,17 +181,16 @@ def build_gme(
 ) -> np.ndarray:
     """Assemble the dissipative generalized Liouvillian in the dressed basis.
 
-    For every channel and every ordered pair of positive transition frequencies
-    (omega from the lowering component, omega' from the raising one) the four
-    thermal term groups are added with rate scaling gamma * omega / omega_i,
-    thermal weights n_th and n_th + 1, and the Gaussian filter on the frequency
-    mismatch. The qubit channel additionally carries the pure-dephasing
-    dissipators of the zero-frequency component of its coupling operator.
+    Every channel contributes two filtered dissipators (``_filtered_dissipator``)
+    of its dressed coupling operator, with rate scaling gamma / omega_i:
+    emission through the lowering part A+ with weight omega (n_th + 1), and
+    absorption through the raising part A- = (A+)^dagger with weight
+    omega n_th. The qubit channel additionally carries the pure-dephasing
+    dissipator of the zero-frequency component of its coupling operator.
 
-    The assembly is vectorized over matrix entries: an entry of the dressed
-    operator at (row, col) with E_col - E_row > omega_min belongs to the
-    lowering component at omega = E_col - E_row, and its transpose entry to the
-    raising one, so per-pair weights become broadcast arrays over entries.
+    An entry of the dressed operator at (row, col) with E_col - E_row >
+    omega_min belongs to the lowering component at omega = E_col - E_row, and
+    its transpose entry to the raising one.
     """
     if not channels:
         raise EmptyChannels("at least one bath channel is required")
@@ -202,77 +201,57 @@ def build_gme(
     # omega_gap[r, c] = E_c - E_r: transition frequency carried by entry (r, c)
     omega_gap = e[None, :] - e[:, None]
     plus_mask = omega_gap > config.omega_min
+    wplus = np.where(plus_mask, omega_gap, 0.0)  # frequency of A+ entries
 
     if config.filter_b == 0.0:
-        def filt(wp, wm):
-            return _secular_indicator(wp, wm, config.omega_min)
+        def filt(w1, w2):
+            return _secular_indicator(w1, w2, config.omega_min)
     else:
-        def filt(wp, wm):
-            return gaussian_filter(wp, wm, config.filter_b)
+        def filt(w1, w2):
+            return gaussian_filter(w1, w2, config.filter_b)
 
     lg = np.zeros((d * d, d * d), dtype=complex)
     for ch in channels:
         x = basis.to_dressed(channel_operator(ch, params))
         a_plus = np.where(plus_mask, x, 0.0)
-        a_minus = a_plus.conj().T
-        wplus = np.where(plus_mask, omega_gap, 0.0)  # frequency of a_plus entries
-        wminus = wplus.T  # frequency of a_minus entries
         scale = ch.gamma / ch.ref_frequency
-        w_n = _omega_nth(wplus, ch.temperature)  # omega * n_th(omega)
-        w_n1 = w_n + wplus  # omega * (n_th(omega) + 1)
-
-        # -- sandwich terms ------------------------------------------------
-        # A-(w') rho A+(w) with weight [w' n(w') + w n(w)] and
-        # A+(w) rho A-(w') with weight [w (n(w)+1) + w' (n(w')+1)], both
-        # filtered on |w - w'| and carrying the overall 1/2. The 4-index
-        # arrays are laid out as (a, b, c, d2) for entry ((a, b), (c, d2)) of
-        # the flattened superoperator rho_cd -> (X rho Y)_ab = X_ac rho_cd Y_db.
-        wn_m = _omega_nth(wminus, ch.temperature)
-        wm_ac = wminus[:, None, :, None]  # w' carried by A-[a, c]
-        wp_db = wplus.T[None, :, None, :]  # w carried by A+[d2, b]
-        f4 = np.where(
-            (wm_ac > 0) & (wp_db > 0), filt(wp_db, wm_ac), 0.0
-        )
-        w_sand_th = wn_m[:, None, :, None] + w_n.T[None, :, None, :]
-        amin_ac = a_minus[:, None, :, None]
-        aplu_db = a_plus.T[None, :, None, :]
-        lg += (0.5 * scale) * (amin_ac * aplu_db * f4 * w_sand_th).reshape(d * d, d * d)
-        # A+(w) rho A-(w'): X = a_plus (freq w at [a, c]), Y = a_minus (w' at [d2, b])
-        wp_ac = wplus[:, None, :, None]
-        wm_db = wminus.T[None, :, None, :]
-        f4b = np.where(
-            (wp_ac > 0) & (wm_db > 0), filt(wp_ac, wm_db), 0.0
-        )
-        w_sand_em = w_n1[:, None, :, None] + (wn_m + wminus).T[None, :, None, :]
-        aplu_ac = a_plus[:, None, :, None]
-        amin_db = a_minus.T[None, :, None, :]
-        lg += (0.5 * scale) * (aplu_ac * amin_db * f4b * w_sand_em).reshape(d * d, d * d)
-
-        # -- left/right products -------------------------------------------
-        # K1 = sum w' n(w') F A+(w) A-(w')   -> -1/2 {spre}
-        # K2 = sum w  n(w)  F A+(w) A-(w')   -> -1/2 {spost}
-        # K3 = sum w (n(w)+1) F A-(w') A+(w) -> -1/2 {spre}
-        # K4 = sum w'(n(w')+1) F A-(w') A+(w)-> -1/2 {spost}
-        wp_3 = wplus[:, :, None]  # (a, c, b) -> w of A+[a, c]
-        wm_3 = wminus[None, :, :]  # -> w' of A-[c, b]
-        f3 = filt(wp_3, wm_3)
-        f3 = np.where((wp_3 > 0) & (wm_3 > 0), f3, 0.0)
-        k1 = np.einsum("ac,cb,acb->ab", a_plus, a_minus, f3 * wn_m[None, :, :])
-        k2 = np.einsum("ac,cb,acb->ab", a_plus, a_minus, f3 * w_n[:, :, None])
-        wmp_3 = wminus[:, :, None]  # (a, c, b) -> w' of A-[a, c]
-        wpp_3 = wplus[None, :, :]  # -> w of A+[c, b]
-        f3b = filt(wpp_3, wmp_3)
-        f3b = np.where((wmp_3 > 0) & (wpp_3 > 0), f3b, 0.0)
-        w_em_plus = w_n + wplus  # omega (n+1) indexed like a_plus
-        k3 = np.einsum("ac,cb,acb->ab", a_minus, a_plus, f3b * w_em_plus[None, :, :])
-        w_em_minus = wn_m + wminus
-        k4 = np.einsum("ac,cb,acb->ab", a_minus, a_plus, f3b * w_em_minus[:, :, None])
-        lg -= (0.5 * scale) * (spre(k1) + spost(k2) + spre(k3) + spost(k4))
-
+        w_n = scale * _omega_nth(wplus, ch.temperature)  # scale * omega n_th(omega)
+        w_n1 = w_n + scale * wplus  # scale * omega (n_th(omega) + 1)
+        lg += _filtered_dissipator(a_plus, wplus, w_n1, filt)
+        lg += _filtered_dissipator(a_plus.conj().T, wplus.T, w_n.T, filt)
         if ch.which == ChannelKind.QUBIT:
             lg += _dephasing(x, ch, config)
-
     return lg
+
+
+def _filtered_dissipator(j: np.ndarray, w: np.ndarray, g: np.ndarray, filt) -> np.ndarray:
+    """Filtered dissipator of one jump operator J whose entry J[r, c] is a
+    transition at frequency w[r, c] with weight g[r, c]:
+
+        1/2 sum F(w1, w2) [(g1 + g2) J(w2) rho J(w1)^dag
+                           - g2 J(w1)^dag J(w2) rho - g1 rho J(w1)^dag J(w2)]
+
+    summed over pairs of entries: the filtered Lindblad form (Breuer and
+    Petruccione, The Theory of Open Quantum Systems, sec. 3.3). F is
+    symmetric, so the rho-on-the-left operator K = sum F g2 J(w1)^dag J(w2)
+    gives the right one as K^dag.
+    """
+    d = j.shape[0]
+    g = 0.5 * g
+    # rho_cd -> (J rho J^dag)_ab = J[a, c] rho[c, d2] conj(J[b, d2]), laid
+    # out as (a, b, c, d2) for entry ((a, b), (c, d2)) of the superoperator
+    weight = filt(w[:, None, :, None], w[None, :, None, :])
+    weight *= g[:, None, :, None] + g[None, :, None, :]
+    sup = j[:, None, :, None] * j.conj()[None, :, None, :]
+    sup *= weight
+    del weight
+    sup = sup.reshape(d * d, d * d)
+    # (J^dag J)_ab = conj(J[c, a]) J[c, b], filtered on (w[c, a], w[c, b])
+    f3 = filt(w[:, :, None], w[:, None, :])
+    k = np.einsum("ca,cb,cab->ab", j.conj(), j, f3 * g[:, None, :])
+    sup -= spre(k)
+    sup -= spost(k.conj().T)
+    return sup
 
 
 def _dephasing(x_dressed: np.ndarray, channel: BathChannel, config: GmeConfig) -> np.ndarray:

@@ -151,6 +151,13 @@ class FloquetHarmonics:
         return self.components[0]
 
 
+def _conjugate(m: np.ndarray, d: int) -> np.ndarray:
+    """C(M) = P conj(M) P, with P the transpose permutation of the row-major
+    vec: the superoperator of rho -> (M rho^dagger)^dagger."""
+    n = d * d
+    return m.reshape(d, d, d, d).transpose(1, 0, 3, 2).conj().reshape(n, n)
+
+
 def floquet_harmonics(
     l: np.ndarray,
     l_plus: np.ndarray,
@@ -162,10 +169,19 @@ def floquet_harmonics(
     """Solve the harmonic recursion (L - i k w_d) rho^k + L+ rho^{k-1} + L- rho^{k+1} = 0.
 
     ``l`` is the full Liouvillian (coherent part included). The chain is
-    truncated at |k| = order with rho^{+/-(order+1)} = 0 and folded into the
-    k = 0 row by sequential elimination on the tridiagonal-in-k structure:
-    rho^k = S_k rho^{k-1} for k > 0 and rho^{-k} = T_k rho^{-(k-1)} for k > 0.
-    The k = 0 row is then solved with the trace constraint.
+    truncated at |k| = order with rho^{+/-(order+1)} = 0. Only its k > 0 side
+    is eliminated, from k = order down, into rho^k = S_k rho^{k-1} with
+    S_k = -(L - i k w_d + L- S_{k+1})^{-1} L+. The k < 0 side is its mirror
+    image: with C(M) = P conj(M) P, the superoperator of
+    rho -> (M rho^dagger)^dagger, it has rho^{-k} = C(S_k) rho^{-(k-1)}, so
+    the k = 0 row folds into L + M + C(M) with M = L- S_1, which is solved with
+    the trace constraint, and rho^{-k} = (rho^k)^dagger.
+
+    Precondition: L preserves Hermiticity (C(L) = L) and l_minus = C(l_plus),
+    as ``build_drive_superoperators`` returns them. The residual of every row
+    k = -order .. order is checked against the given ``l``, ``l_plus`` and
+    ``l_minus``, so a generator that breaks the precondition raises
+    NoConvergence instead of returning wrong harmonics.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -187,63 +203,23 @@ def floquet_harmonics(
             raise SingularHarmonicSolve(f"harmonic block k={k} singular: {exc}") from exc
         s_prop[k] = block
 
-    t_prop = {}  # rho^{-k} = t_prop[k] rho^{-(k-1)}
-    block = None
-    for k in range(order, 0, -1):
-        shifted = l + 1j * k * omega_d * eye
-        if block is not None:
-            shifted = shifted + l_plus @ block
-        try:
-            block = -scipy.linalg.solve(shifted, l_minus)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularHarmonicSolve(f"harmonic block k=-{k} singular: {exc}") from exc
-        t_prop[k] = block
-
-    folded = l + l_minus @ s_prop[1] + l_plus @ t_prop[1]
-    rho0 = steady_state(folded)
+    m = l_minus @ s_prop[1]
+    rho0 = steady_state(l + m + _conjugate(m, d))
 
     comps = {0: rho0}
-    vec = rho0.reshape(-1)
-    up = vec
+    up = rho0.reshape(-1)
     for k in range(1, order + 1):
         up = s_prop[k] @ up
         comps[k] = up.reshape(d, d)
-    down = vec
-    for k in range(1, order + 1):
-        down = t_prop[k] @ down
-        comps[-k] = down.reshape(d, d)
+        comps[-k] = comps[k].conj().T
 
+    zero = np.zeros(n, dtype=complex)
+    vecs = {k: rho.reshape(-1) for k, rho in comps.items()}
     for k in range(-order, order + 1):
-        above = comps.get(k + 1, np.zeros((d, d), dtype=complex))
-        below = comps.get(k - 1, np.zeros((d, d), dtype=complex))
-        row = (l - 1j * k * omega_d * eye) @ comps[k].reshape(-1)
-        row = row + l_plus @ below.reshape(-1) + l_minus @ above.reshape(-1)
+        v = vecs[k]
+        row = l @ v - 1j * k * omega_d * v
+        row += l_plus @ vecs.get(k - 1, zero) + l_minus @ vecs.get(k + 1, zero)
         resid = np.linalg.norm(row)
         if resid > residual_tol:
             raise NoConvergence(f"harmonic row k={k} residual {resid:.3e} > {residual_tol:.1e}")
     return FloquetHarmonics(order=order, omega_d=omega_d, components=comps)
-
-
-def harmonic_convergence(
-    make_harmonics,
-    observable,
-    order: int = 2,
-    step: int = 2,
-    tol: float = 1e-8,
-    max_order: int = 8,
-) -> FloquetHarmonics:
-    """Increase the truncation order until ``observable(harmonics)`` is stable.
-
-    ``make_harmonics(order)`` builds the chain at a given order; the scalar
-    ``observable`` (e.g. the reflectivity trace) is compared across order and
-    order + step.
-    """
-    current = make_harmonics(order)
-    val = observable(current)
-    while order + step <= max_order:
-        nxt = make_harmonics(order + step)
-        nval = observable(nxt)
-        if abs(nval - val) <= tol * max(1.0, abs(nval)):
-            return nxt
-        current, val, order = nxt, nval, order + step
-    raise NoConvergence(f"Floquet truncation did not converge by order {max_order}")

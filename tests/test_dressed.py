@@ -12,7 +12,6 @@ from uscspec.dressed import (
     frequency_components,
     jc_initial_labels,
     label_states,
-    per_transition_components,
     plain_labels,
 )
 from uscspec.errors import AmbiguousContinuation, NotHermitian, UnknownLabel
@@ -107,25 +106,6 @@ class TestFrequencyComponents:
 
 
 class TestTransitionTable:
-    def test_two_level_single_transition(self):
-        p = SystemParams(delta=0.7, epsilon=0.0, eta=0.0, n_fock=2)
-        basis = dressed_basis(p)
-        stx = basis.to_dressed(sigma_tilde_x(QubitFrame.from_params(p), p.n_fock))
-        table = build_transition_table(basis)
-        comps = per_transition_components(stx, table)
-        qubit_comps = [(w, m) for w, m in comps if np.abs(m).max() > 1e-12]
-        assert len(qubit_comps) == 1
-        assert qubit_comps[0][0] == pytest.approx(0.7)
-
-    def test_completeness(self):
-        p = SystemParams(delta=1.0, epsilon=0.3, eta=0.6, n_fock=8)
-        basis = dressed_basis(p)
-        x = basis.to_dressed(build_output_operator(OutputKind.INDUCTIVE_M, p))
-        table = build_transition_table(basis)
-        comps = per_transition_components(x, table)
-        total = sum(m for _, m in comps)
-        np.testing.assert_allclose(total, frequency_components(x, "plus"), atol=1e-12)
-
     def test_all_positive(self):
         basis = _basis(delta=1.0, epsilon=0.2, eta=0.9, n_fock=8)
         table = build_transition_table(basis)

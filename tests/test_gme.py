@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from uscspec.dressed import dressed_basis, frequency_components
 from uscspec.gme import (
+    ChannelKind,
     GmeConfig,
     build_drive_superoperators,
     build_gme,
@@ -191,6 +192,78 @@ class TestSecularOracle:
                 ref += rate * (n_th + 1) * dissipator(jump)
                 ref += rate * n_th * dissipator(jump.conj().T)
         np.testing.assert_allclose(lm, ref, atol=1e-12)
+
+
+def _filtered_gme_oracle(basis, channel, x, filter_b, params):
+    """The filtered GME of one channel, term by term over ordered pairs of
+    positive transitions (omega from the lowering component, omega' from the
+    raising one), applied to each basis matrix |c><d| to give the columns of
+    the superoperator. The qubit channel adds the printed-weight dephasing of
+    the diagonal of x."""
+    d = params.dim
+    e = basis.energies
+    trans = [(r, c, e[c] - e[r]) for r in range(d) for c in range(d)
+             if e[c] - e[r] > 1e-9]
+    scale = channel.gamma / channel.ref_frequency
+    temp = channel.temperature
+
+    def n_th(w):
+        return thermal_occupation(w, temp)
+
+    eye = np.eye(d)
+    terms = []  # (superoperator coefficient, left, right) for rho -> L rho R
+    for r1, c1, w in trans:
+        a_plus = np.zeros((d, d), dtype=complex)
+        a_plus[r1, c1] = x[r1, c1]
+        for r2, c2, wp in trans:
+            a_lower = np.zeros((d, d), dtype=complex)
+            a_lower[r2, c2] = x[r2, c2]
+            a_minus = a_lower.conj().T
+            f = 0.5 * scale * np.exp(-((w - wp) ** 2) / (2.0 * filter_b**2))
+            # absorption
+            terms += [
+                (f * (wp * n_th(wp) + w * n_th(w)), a_minus, a_plus),
+                (-f * wp * n_th(wp), a_plus @ a_minus, eye),
+                (-f * w * n_th(w), eye, a_plus @ a_minus),
+            ]
+            # emission
+            terms += [
+                (f * (w * (n_th(w) + 1) + wp * (n_th(wp) + 1)), a_plus, a_minus),
+                (-f * w * (n_th(w) + 1), a_minus @ a_plus, eye),
+                (-f * wp * (n_th(wp) + 1), eye, a_minus @ a_plus),
+            ]
+    if channel.which == ChannelKind.QUBIT:
+        z = np.diag(np.diag(x))
+        rate = scale * (2.0 * temp + 1.0)
+        terms += [(rate, z, z.conj().T),
+                  (-0.5 * rate, z.conj().T @ z, eye),
+                  (-0.5 * rate, eye, z.conj().T @ z)]
+    ref = np.zeros((d * d, d * d), dtype=complex)
+    for col in range(d * d):
+        basis_matrix = np.zeros((d, d), dtype=complex)
+        basis_matrix.flat[col] = 1.0
+        out = sum(coef * left @ basis_matrix @ right for coef, left, right in terms)
+        ref[:, col] = out.reshape(-1)
+    return ref
+
+
+class TestFilteredOracle:
+    @pytest.mark.parametrize("temp", [0.0, 0.4])
+    @pytest.mark.parametrize("which", ["resonator", "qubit"])
+    def test_matches_pairwise_construction(self, which, temp):
+        params = SystemParams(delta=1.0, epsilon=0.4, eta=0.7, n_fock=3)
+        basis = dressed_basis(params)
+        if which == "resonator":
+            ch = resonator_channel(gamma=1e-3, temperature=temp,
+                                   jump_kind=OutputKind.CAPACITIVE_C)
+        else:
+            ch = qubit_channel(gamma=1e-2, temperature=temp,
+                               delta=params.delta)
+        filter_b = 0.3
+        lm = build_gme(basis, [ch], GmeConfig(filter_b=filter_b), params)
+        x = basis.to_dressed(channel_operator(ch, params))
+        ref = _filtered_gme_oracle(basis, ch, x, filter_b, params)
+        np.testing.assert_allclose(lm, ref, rtol=0, atol=1e-15)
 
 
 class TestDephasing:

@@ -13,9 +13,7 @@ from uscspec.gme import (
 )
 from uscspec.model import OutputKind, SystemParams, build_output_operator
 from uscspec.steady import (
-    FloquetHarmonics,
     floquet_harmonics,
-    harmonic_convergence,
     steady_state,
 )
 
@@ -121,15 +119,47 @@ class TestFloquetHarmonics:
         assert np.abs(h[3]).max() == 0.0
         assert h[3].shape == h.rho0.shape
 
-    def test_harmonic_convergence_helper(self):
-        params, lm, lp, lmn, x = _driven_system(b_in=0.03, omega_d=1.0)
 
-        def make(order):
-            return floquet_harmonics(lm, lp, lmn, omega_d=1.0, order=order)
+def _stacked_harmonics(lm, lp, lmn, omega_d, order, d):
+    """Independent oracle: the truncated chain k = -order .. order as one
+    block-tridiagonal system, with the last population row of the k = 0 block
+    replaced by the trace of rho^0."""
+    n = d * d
+    size = (2 * order + 1) * n
+    big = np.zeros((size, size), dtype=complex)
+    for i, k in enumerate(range(-order, order + 1)):
+        rows = slice(i * n, (i + 1) * n)
+        big[rows, rows] = lm - 1j * k * omega_d * np.eye(n)
+        if i > 0:
+            big[rows, (i - 1) * n:i * n] = lp
+        if i < 2 * order:
+            big[rows, (i + 1) * n:(i + 2) * n] = lmn
+    trace_row = order * n + n - 1
+    big[trace_row, :] = 0.0
+    big[trace_row, order * n:(order + 1) * n] = np.eye(d).reshape(-1)
+    rhs = np.zeros(size, dtype=complex)
+    rhs[trace_row] = 1.0
+    sol = np.linalg.solve(big, rhs).reshape(2 * order + 1, d, d)
+    return {k: sol[k + order] for k in range(-order, order + 1)}
 
-        def observable(h):
-            return complex(np.trace(x @ h[-1]))
 
-        h = harmonic_convergence(make, observable, order=2, tol=1e-8)
-        assert isinstance(h, FloquetHarmonics)
-        assert h.order >= 2
+class TestFloquetOracle:
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("b_in,omega_d,phase", [(0.03, 1.0, 0.0),
+                                                    (0.3, 0.9, 0.7)])
+    def test_matches_stacked_solve(self, order, b_in, omega_d, phase):
+        params, lm, lp, lmn, _ = _driven_system(b_in=b_in, omega_d=omega_d,
+                                                phase=phase, n_fock=4)
+        h = floquet_harmonics(lm, lp, lmn, omega_d=omega_d, order=order)
+        ref = _stacked_harmonics(lm, lp, lmn, omega_d, order, params.dim)
+        for k in range(-order, order + 1):
+            np.testing.assert_allclose(h[k], ref[k], rtol=0, atol=1e-12)
+
+    def test_non_conjugate_drive_pair_raises(self):
+        # the k < 0 side is taken as the mirror of the k > 0 side, which only
+        # holds for l_minus = C(l_plus); any other pair must fail the check
+        _, lm, lp, lmn, _ = _driven_system(b_in=0.3, n_fock=4)
+        with pytest.raises(NoConvergence):
+            floquet_harmonics(lm, lp, 2.0 * lmn, omega_d=1.0, order=2)
+        with pytest.raises(NoConvergence):
+            floquet_harmonics(lm, lp, lp, omega_d=1.0, order=2)
