@@ -7,7 +7,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import AmbiguousContinuation, DimensionMismatch, NotHermitian, UnknownLabel
 from .model import (
@@ -182,6 +181,8 @@ def jc_initial_labels(params: SystemParams) -> tuple[str, ...]:
                 labels[q] = f"{sector}+{extra + 2}"
         else:
             labels[idx[0]] = f"{sector}-"
+    from scipy.optimize import linear_sum_assignment  # slow import; only labelling needs it
+
     basis = diagonalize(build_static_hamiltonian(params))
     ov = np.abs(basis.vectors.conj().T @ v_jc) ** 2
     row, col = linear_sum_assignment(-ov)
@@ -210,6 +211,8 @@ def label_states(
     """
     if not bases:
         return []
+    from scipy.optimize import linear_sum_assignment  # slow import; only labelling needs it
+
     labels = tuple(initial_labels) if initial_labels is not None else plain_labels(bases[0].dim)
     out = [bases[0].with_labels(labels)]
     for step, basis in enumerate(bases[1:], start=1):

@@ -119,11 +119,6 @@ def dissipator(op: np.ndarray) -> np.ndarray:
     return sandwich(op, op.conj().T) - 0.5 * spre(ldl) - 0.5 * spost(ldl)
 
 
-def hamiltonian_superoperator(h: np.ndarray) -> np.ndarray:
-    """Coherent part -i [H, rho] as a superoperator."""
-    return -1j * (spre(h) - spost(h))
-
-
 def thermal_occupation(omega, temperature: float):
     """Bose-Einstein occupation 1 / (exp(omega / T) - 1); zero at T = 0."""
     omega = np.asarray(omega, dtype=float)
@@ -191,6 +186,11 @@ def build_gme(
     An entry of the dressed operator at (row, col) with E_col - E_row >
     omega_min belongs to the lowering component at omega = E_col - E_row, and
     its transpose entry to the raising one.
+
+    At ``filter_b = 0``, when no two Bohr frequencies (nor one and 0) lie
+    within omega_min, that sum is a Pauli rate matrix on the populations plus
+    one decay rate per coherence, and ``_secular_generator`` writes it
+    directly; otherwise the filtered dissipators are summed densely.
     """
     if not channels:
         raise EmptyChannels("at least one bath channel is required")
@@ -203,7 +203,18 @@ def build_gme(
     plus_mask = omega_gap > config.omega_min
     wplus = np.where(plus_mask, omega_gap, 0.0)  # frequency of A+ entries
 
+    # per channel: channel, dressed X, A+, s omega n_th and s omega (n_th + 1), s = gamma / omega_i
+    terms = []
+    for ch in channels:
+        x = basis.to_dressed(channel_operator(ch, params))
+        scale = ch.gamma / ch.ref_frequency
+        w_n = scale * _omega_nth(wplus, ch.temperature)
+        terms.append((ch, x, np.where(plus_mask, x, 0.0), w_n, w_n + scale * wplus))
+
     if config.filter_b == 0.0:
+        if _bohr_frequencies_separated(e, config.omega_min):
+            return _secular_generator(terms, config, d)
+
         def filt(w1, w2):
             return _secular_indicator(w1, w2, config.omega_min)
     else:
@@ -211,16 +222,51 @@ def build_gme(
             return gaussian_filter(w1, w2, config.filter_b)
 
     lg = np.zeros((d * d, d * d), dtype=complex)
-    for ch in channels:
-        x = basis.to_dressed(channel_operator(ch, params))
-        a_plus = np.where(plus_mask, x, 0.0)
-        scale = ch.gamma / ch.ref_frequency
-        w_n = scale * _omega_nth(wplus, ch.temperature)  # scale * omega n_th(omega)
-        w_n1 = w_n + scale * wplus  # scale * omega (n_th(omega) + 1)
+    for ch, x, a_plus, w_n, w_n1 in terms:
         lg += _filtered_dissipator(a_plus, wplus, w_n1, filt)
         lg += _filtered_dissipator(a_plus.conj().T, wplus.T, w_n.T, filt)
         if ch.which == ChannelKind.QUBIT:
             lg += _dephasing(x, ch, config)
+    return lg
+
+
+def _bohr_frequencies_separated(e: np.ndarray, omega_min: float) -> bool:
+    """True when no two Bohr frequencies E_a - E_b (a != b), nor one of them
+    and 0, lie within omega_min (widened by the rounding of differences of
+    differences). Only then does the b = 0 filter leave every coherence
+    uncoupled from the other coherences and from the populations."""
+    bohr = np.sort((e[:, None] - e[None, :])[~np.eye(e.size, dtype=bool)])
+    tol = omega_min + 16 * np.finfo(float).eps * np.abs(e).max()
+    return bool(np.abs(bohr).min() > tol and np.diff(bohr).min() > tol)
+
+
+def _secular_generator(terms, config: GmeConfig, d: int) -> np.ndarray:
+    """The b = 0 generator at separated Bohr frequencies, in O(d^2) per channel.
+
+    A transition i -> f at omega = E_i - E_f > omega_min relaxes at
+    R[f, i] = s |X_fi|^2 omega (n_th + 1) and is excited back at
+    R[i, f] = s |X_fi|^2 omega n_th. The populations obey W = R - diag(Gamma),
+    Gamma the column sums of R; coherence (a, b) decays at
+    -(Gamma_a + Gamma_b) / 2 plus the qubit channel's dephasing
+    kappa (lam_a conj(lam_b) - |lam_a|^2 / 2 - |lam_b|^2 / 2), lam = diag X.
+    These are the only nonzero entries of the filtered dissipators there.
+    """
+    rates = np.zeros((d, d))  # rates[f, i]: rate of i -> f
+    coherence = np.zeros((d, d), dtype=complex)
+    for ch, x, a_plus, w_n, w_n1 in terms:
+        strength = np.abs(a_plus) ** 2
+        rates += strength * w_n1 + (strength * w_n).T
+        if ch.which == ChannelKind.QUBIT:
+            lam = np.diag(x)
+            half = 0.5 * (lam.conj() * lam).real
+            kappa = _dephasing_rate(ch, config)
+            coherence += kappa * (np.outer(lam, lam.conj()) - half[:, None] - half[None, :])
+    escape = rates.sum(axis=0)
+    coherence -= 0.5 * (escape[:, None] + escape[None, :])
+    lg = np.zeros((d * d, d * d), dtype=complex)
+    lg[np.diag_indices(d * d)] = coherence.reshape(-1)
+    populations = np.arange(d) * (d + 1)
+    lg[np.ix_(populations, populations)] = rates - np.diag(escape)
     return lg
 
 
@@ -254,10 +300,9 @@ def _filtered_dissipator(j: np.ndarray, w: np.ndarray, g: np.ndarray, filt) -> n
     return sup
 
 
-def _dephasing(x_dressed: np.ndarray, channel: BathChannel, config: GmeConfig) -> np.ndarray:
-    """Pure-dephasing dissipator of a qubit channel: the zero-frequency
-    (diagonal) part of its dressed coupling operator at rate
-    (gamma / omega_i) (2 T + 1), or (2 n_th + 1) for the "bose" weight."""
+def _dephasing_rate(channel: BathChannel, config: GmeConfig) -> float:
+    """Pure-dephasing rate of a qubit channel: (gamma / omega_i) (2 T + 1), or
+    (2 n_th + 1) in place of (2 T + 1) for the "bose" weight."""
     if config.dephasing_weight == "printed":
         weight = 2.0 * channel.temperature + 1.0
     else:
@@ -265,8 +310,13 @@ def _dephasing(x_dressed: np.ndarray, channel: BathChannel, config: GmeConfig) -
             channel.ref_frequency, channel.temperature
         )
         weight = 2.0 * nth + 1.0
-    scale = channel.gamma / channel.ref_frequency
-    return scale * weight * dissipator(np.diag(np.diag(x_dressed)))
+    return channel.gamma / channel.ref_frequency * weight
+
+
+def _dephasing(x_dressed: np.ndarray, channel: BathChannel, config: GmeConfig) -> np.ndarray:
+    """Pure-dephasing dissipator of a qubit channel: the zero-frequency
+    (diagonal) part of its dressed coupling operator at ``_dephasing_rate``."""
+    return _dephasing_rate(channel, config) * dissipator(np.diag(np.diag(x_dressed)))
 
 
 def dephasing_superoperator(
@@ -281,9 +331,12 @@ def dephasing_superoperator(
 
 
 def total_liouvillian(basis: DressedBasis, lg: np.ndarray) -> np.ndarray:
-    """Full generator -i [H0, rho] + L_g rho in the dressed basis."""
-    h = np.diag(basis.energies.astype(complex))
-    return hamiltonian_superoperator(h) + lg
+    """Full generator -i [H0, rho] + L_g rho in the dressed basis: H0 is
+    diagonal there, so -i [H0, .] only adds -i (E_a - E_b) on the diagonal."""
+    e = basis.energies
+    l = lg.astype(complex)
+    l[np.diag_indices_from(l)] += -1j * (e[:, None] - e[None, :]).reshape(-1)
+    return l
 
 
 def build_drive_superoperators(

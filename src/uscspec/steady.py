@@ -60,14 +60,49 @@ def _trace_one_solve(lm: np.ndarray, populations: np.ndarray) -> np.ndarray | No
         return None
 
 
+def _gth_stationary(w: np.ndarray) -> np.ndarray | None:
+    """Stationary distribution of a rate matrix, W[f, i] the rate of i -> f,
+    by GTH elimination (Grassmann, Taksar and Heyman, Oper. Res. 33, 1107
+    (1985)).
+
+    States are censored from the last one down. Only the off-diagonal rates
+    are read and nothing is subtracted, so with non-negative rates every
+    population comes out non-negative, to small relative error. Returns None
+    when a pivot sum (the rate out of a state into the states still kept) is
+    not > 0.
+    """
+    q = w.T.copy()  # q[i, f]: rate of i -> f
+    n = q.shape[0]
+    pivots = np.empty(n)
+    for k in range(n - 1, 0, -1):
+        s = q[k, :k].sum()
+        if not s > 0:
+            return None
+        pivots[k] = s
+        q[:k, :k] += np.outer(q[:k, k], q[k, :k] / s)
+    p = np.empty(n)
+    p[0] = 1.0
+    for k in range(1, n):
+        p[k] = p[:k] @ q[:k, k] / pivots[k]
+    return p / p.sum()
+
+
 def _population_block_solve(lm: np.ndarray, d: int, blocks) -> np.ndarray | None:
-    """``_trace_one_solve`` on the block holding the populations, scattered
-    into the full vector; None when the populations span several blocks."""
+    """The null vector of the block holding the populations, scattered into
+    the full vector; None when the populations span several blocks.
+
+    A block of the d populations alone is a rate matrix and goes to
+    ``_gth_stationary`` on its real part; a block that also holds coherences,
+    or one where GTH stops, goes to ``_trace_one_solve``.
+    """
     block = next(b for b in blocks if b[0] == 0)  # index 0 is rho_00
     populations = block % (d + 1) == 0
     if np.count_nonzero(populations) != d:
         return None
-    sub = _trace_one_solve(lm[np.ix_(block, block)], populations)
+    sub_l = lm[np.ix_(block, block)]
+    sub = _gth_stationary(sub_l.real) if block.size == d else None
+    if sub is None:
+        sub = _trace_one_solve(sub_l, populations)
     if sub is None:
         return None
     vec = np.zeros(lm.shape[0], dtype=complex)
@@ -91,7 +126,8 @@ def steady_state(
 
     ``blocks`` is the partition from ``liouvillian_blocks(l)``. When it has
     more than one block and all populations lie in one of them, that block
-    alone is solved and the result is checked against the full L. If the
+    alone is solved (by GTH elimination when it holds only the populations)
+    and the result is checked against the full L. If the
     populations span several blocks, or that solve or its check fails, the
     dense path above runs instead, so degenerate and non-convergent
     generators raise as they do without ``blocks``.

@@ -15,7 +15,7 @@ from uscspec.gme import (
 )
 from uscspec.model import OutputKind, SystemParams
 from uscspec.spectra import emission_probe, emission_spectrum
-from uscspec.steady import liouvillian_blocks, steady_state
+from uscspec.steady import _gth_stationary, liouvillian_blocks, steady_state
 
 GRID = np.linspace(0.05, 3.0, 60)
 SECULAR_CASES = [(eps, port) for eps in (0.0, 0.3)
@@ -120,3 +120,25 @@ def test_split_populations_raise_as_without_blocks():
     with pytest.raises(DegenerateSteadyState) as blocked:
         steady_state(lm, blocks=blocks)
     assert str(blocked.value) == str(dense.value)
+
+
+def test_population_block_is_nonnegative_and_matches_dense():
+    # fig2 at eta = 1.5, X_C port: populations fall to ~1e-138 up the ladder,
+    # and the elimination of the population block keeps every one >= 0
+    _, _, lm = _generator(0.0, OutputKind.CAPACITIVE_C, eta=1.5, n_fock=20)
+    pops = np.diag(steady_state(lm, blocks=liouvillian_blocks(lm))).real
+    dense = np.diag(steady_state(lm)).real
+    assert (pops >= 0).all()
+    large = dense > 1e-8
+    np.testing.assert_allclose(pops[large], dense[large], rtol=1e-9, atol=0)
+
+
+def test_gth_stationary_birth_death_chain_and_reducible_chain():
+    down, up = np.array([3.0, 2.0, 5.0]), np.array([1.0, 0.5, 1e-30])
+    w = np.diag(down, 1) + np.diag(up, -1)  # w[f, i]: rate of i -> f
+    w -= np.diag(w.sum(axis=0))
+    p = _gth_stationary(w)
+    expected = np.cumprod(np.r_[1.0, up / down])
+    np.testing.assert_allclose(p, expected / expected.sum(), rtol=1e-14)
+    w[:, 3] = 0.0  # state 3 no longer leaves, state 0 is absorbing too
+    assert _gth_stationary(w) is None

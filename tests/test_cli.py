@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import uscspec
 from uscspec.cli import load_config, main, parse_config, resolve_threads
 from uscspec.errors import ConfigInvalid
 
@@ -261,3 +266,14 @@ class TestAuditRun:
         assert main(["audit", "--config", path, "--out", str(out)]) == 0
         report = json.loads((out / "audit.json").read_text())
         assert report["result"] == "FAIL"
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize adds 0.2-0.35 s to every start; only state labelling needs it
+    src = str(Path(uscspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, uscspec.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uscspec import gme
 from uscspec.dressed import dressed_basis, frequency_components
 from uscspec.gme import (
     ChannelKind,
@@ -192,6 +193,56 @@ class TestSecularOracle:
                 ref += rate * (n_th + 1) * dissipator(jump)
                 ref += rate * n_th * dissipator(jump.conj().T)
         np.testing.assert_allclose(lm, ref, atol=1e-12)
+
+
+def _count_filtered_dissipators(monkeypatch):
+    calls = []
+    dense = gme._filtered_dissipator
+
+    def counted(*args):
+        calls.append(args)
+        return dense(*args)
+
+    monkeypatch.setattr(gme, "_filtered_dissipator", counted)
+    return calls
+
+
+class TestSecularClosedForm:
+    @pytest.mark.parametrize("jump_kind", [OutputKind.CAPACITIVE_C,
+                                           OutputKind.INDUCTIVE_M])
+    @pytest.mark.parametrize("weight", ["printed", "bose"])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.35])
+    @pytest.mark.parametrize("temp", [0.0, 0.45])
+    def test_matches_the_filtered_sum(self, monkeypatch, temp, epsilon, weight,
+                                      jump_kind):
+        # filter_b = 1e-150 runs the Gaussian sum, whose filter is an exact
+        # indicator when no two Bohr frequencies coincide
+        setup = dict(eta=0.9, epsilon=epsilon, n_fock=14, t_r=temp, t_q=temp,
+                     jump_kind=jump_kind, dephasing_weight=weight)
+        calls = _count_filtered_dissipators(monkeypatch)
+        _, _, closed = _standard_setup(**setup)
+        assert not calls
+        _, _, dense = _standard_setup(filter_b=1e-150, **setup)
+        assert len(calls) == 4
+        assert np.abs(closed - dense).max() <= 1e-15 * np.abs(dense).max()
+
+    def test_equal_bohr_frequencies_take_the_filtered_sum(self, monkeypatch):
+        calls = _count_filtered_dissipators(monkeypatch)
+        _standard_setup(eta=0.6, epsilon=0.3)
+        assert not calls
+        # uncoupled and resonant: an evenly spaced ladder with degenerate rungs
+        params, basis, lg = _standard_setup(eta=0.0, epsilon=0.0)
+        assert len(calls) == 4  # emission and absorption of both channels
+        d = params.dim
+        e = basis.energies
+        bohr = (e[:, None] - e[None, :]).reshape(-1)
+        coherence = np.ones(d * d, dtype=bool)
+        coherence[:: d + 1] = False
+        rows, cols = np.nonzero(lg)
+        coupled = (rows != cols) & coherence[rows] & coherence[cols]
+        assert coupled.any()
+        np.testing.assert_allclose(bohr[rows[coupled]], bohr[cols[coupled]],
+                                   rtol=0, atol=1e-9)
 
 
 def _filtered_gme_oracle(basis, channel, x, filter_b, params):
