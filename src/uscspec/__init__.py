@@ -39,7 +39,6 @@ from .gme import (
 from .steady import (
     FloquetHarmonics,
     floquet_harmonics,
-    liouvillian_blocks,
     steady_state,
 )
 from .spectra import (
@@ -84,7 +83,6 @@ __all__ = [
     "heisenberg_derivative",
     "jc_initial_labels",
     "label_states",
-    "liouvillian_blocks",
     "matrix_element_report",
     "parity_operator",
     "plain_labels",

@@ -61,7 +61,7 @@ from .spectra import (
     matrix_element_report,
     reflectivity_spectrum,
 )
-from .steady import liouvillian_blocks, steady_state
+from .steady import steady_state
 
 THREAD_ENV_VAR = "USCSPEC_THREADS"
 ENERGY_AUDIT_TOL = 1e-7
@@ -224,9 +224,13 @@ def _require(mapping: dict, key: str, context: str):
 
 
 def _block(cls, block, context: str):
-    """``cls(**block)`` for one config block; any malformed block is a ConfigInvalid."""
+    """``cls(**block)`` for one config block; any malformed block, or one
+    holding a NaN or infinite number, is a ConfigInvalid."""
     if not isinstance(block, dict):
         raise ConfigInvalid(f"{context} must be a mapping, got {block!r}")
+    for key, value in block.items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ConfigInvalid(f"{context} {key} must be finite, got {value!r}")
     try:
         return cls(**block)
     except (TypeError, ValueError, UscSpecError) as exc:
@@ -454,10 +458,9 @@ def _emission_one_point(config: RunConfig, params: SystemParams,
     channels = [b.resolve(params, probe) for b in config.baths]
     lg = build_gme(basis, channels, config.gme, params)
     l_total = total_liouvillian(basis, lg)
-    blocks = liouvillian_blocks(l_total)
-    rho = steady_state(l_total, blocks=blocks)
+    rho = steady_state(l_total)
     x_dot = emission_probe(params, probe, basis)
-    return emission_spectrum(l_total, rho, x_dot, grid, method=method, blocks=blocks).values
+    return emission_spectrum(l_total, rho, x_dot, grid, method=method).values
 
 
 def _reflectivity_one_point(config: RunConfig, params: SystemParams, probe: OutputKind,

@@ -26,8 +26,6 @@ from .model import (
     sigma_tilde_x,
 )
 
-FILTER_FLOOR = 1e-12
-
 
 class ChannelKind(str, Enum):
     RESONATOR = "resonator"

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .dressed import DressedBasis, dressed_basis, frequency_components
 from .errors import ResolventSingular, UnknownLabel, ZeroDrive
@@ -17,6 +16,7 @@ from .gme import (
     GmeConfig,
     build_drive_superoperators,
     build_gme,
+    resonator_channel,
     total_liouvillian,
 )
 from .model import (
@@ -26,7 +26,7 @@ from .model import (
     build_static_hamiltonian,
     heisenberg_derivative,
 )
-from .steady import floquet_harmonics, FloquetHarmonics
+from .steady import FloquetHarmonics, floquet_harmonics, secular_populations
 
 
 class Normalization(str, Enum):
@@ -57,7 +57,6 @@ def emission_spectrum(
     x_dot: np.ndarray,
     grid: np.ndarray,
     method: str = "solve",
-    blocks: list[np.ndarray] | None = None,
 ) -> SpectrumSeries:
     """Steady-state power spectrum via the quantum regression theorem.
 
@@ -68,12 +67,10 @@ def emission_spectrum(
     already be expressed in the dressed basis of ``l`` so the triangular
     frequency split applies.
 
-    ``blocks`` is the partition from ``steady.liouvillian_blocks(l)``; the
-    resolvent is then taken block by block, and without it L is one block.
-    A block on which Xdot^(+) rho_ss or the probe vector vanishes adds
-    nothing and is skipped. A 1x1 block is a pole at L_kk in closed form; the
-    larger ones are diagonalized (``eig``) or solved per grid point
-    (``solve``) on their own.
+    When L is in the secular layout (``steady.secular_populations``), each
+    coherence is a pole at L_kk in closed form, and only the population
+    block is diagonalized or solved, and only when Xdot^(+) rho_ss and the
+    probe vector are both nonzero on it. Otherwise the whole L is.
     """
     grid = np.asarray(grid, dtype=float)
     if method not in ("eig", "solve"):
@@ -82,21 +79,22 @@ def emission_spectrum(
     x_minus = frequency_components(x_dot, "minus")
     b = (x_plus @ rho_ss).reshape(-1)
     probe = x_minus.T.reshape(-1)  # Tr[X- M] = vec(X-^T) . vec(M)
-    if blocks is None or len(blocks) == 1:
+    pops = secular_populations(l)
+    if pops is None:
         single, multi = np.zeros(0, dtype=int), [(l, b, probe)]
     else:
-        live = [blk for blk in blocks if b[blk].any() and probe[blk].any()]
-        single = np.array([blk[0] for blk in live if blk.size == 1], dtype=int)
-        multi = [(l[np.ix_(blk, blk)], b[blk], probe[blk]) for blk in live if blk.size > 1]
+        single = np.setdiff1d(np.flatnonzero((b != 0) & (probe != 0)), pops)
+        live = b[pops].any() and probe[pops].any()
+        multi = [(l[np.ix_(pops, pops)], b[pops], probe[pops])] if live else []
 
     evals = [l[single, single]]
     weights = [probe[single] * b[single]]
     if method == "eig":
         for sub, rhs, lhs in multi:
             try:
-                block_evals, evecs = scipy.linalg.eig(sub)
-                block_weights = (lhs @ evecs) * scipy.linalg.solve(evecs, rhs)
-            except scipy.linalg.LinAlgError as exc:
+                block_evals, evecs = np.linalg.eig(sub)
+                block_weights = (lhs @ evecs) * np.linalg.solve(evecs, rhs)
+            except np.linalg.LinAlgError as exc:
                 raise ResolventSingular(f"Liouvillian eigenbasis failed: {exc}") from exc
             evals.append(block_evals)
             weights.append(block_weights)
@@ -110,8 +108,8 @@ def emission_spectrum(
             eye = np.eye(sub.shape[0], dtype=complex)
             for idx, omega in enumerate(grid):
                 try:
-                    sol = scipy.linalg.solve(1j * omega * eye - sub, rhs)
-                except scipy.linalg.LinAlgError as exc:
+                    sol = np.linalg.solve(1j * omega * eye - sub, rhs)
+                except np.linalg.LinAlgError as exc:
                     raise ResolventSingular(f"resolvent singular at omega={omega}: {exc}") from exc
                 values[idx] += np.real(lhs @ sol)
     return SpectrumSeries(grid=grid, values=values)
@@ -176,8 +174,6 @@ def reflectivity_spectrum(
     coupling (X_M and a + a^dag) then share one GME assembly and one Floquet
     solve per drive frequency.
     """
-    from .gme import resonator_channel
-
     coupling, sign = PROBE_COUPLING[probe]
     config = config or GmeConfig()
     omega_d_grid = np.asarray(omega_d_grid, dtype=float)

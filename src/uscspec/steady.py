@@ -6,9 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from .errors import (
     DegenerateSteadyState,
@@ -21,37 +18,37 @@ HARMONIC_RESIDUAL_TOL = 1e-9
 NULLSPACE_GAP_TOL = 1e-10
 
 
-def liouvillian_blocks(l: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the blocks of a generator, from its exact zero pattern.
+def secular_populations(l: np.ndarray) -> np.ndarray | None:
+    """The population indices ``arange(d) * (d + 1)`` of a generator in the
+    secular layout, else None.
 
-    The blocks are the connected components of the graph with an edge
-    wherever L[i, j] != 0 or L[j, i] != 0, so no entry of L couples two
-    blocks and every linear solve with L splits into one solve per block.
-    Each block is an ascending array of flattened indices. In the secular
-    (``filter_b = 0``) generator a coherence rho_ab only couples to
-    coherences of the same Bohr frequency, which makes the blocks small; a
-    dense generator is one block.
+    In that layout every nonzero entry of L lies on its diagonal or in a
+    population row and column, so the populations form one closed block (a
+    rate matrix) and each coherence is its own 1x1 block. ``build_gme``
+    writes exactly this at ``filter_b = 0`` when no two Bohr frequencies
+    meet. The test reads the exact zero pattern, with no tolerance.
     """
-    rows, cols = np.nonzero(l)
-    graph = scipy.sparse.coo_matrix(
-        (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=l.shape
-    )
-    _, labels = scipy.sparse.csgraph.connected_components(graph, connection="weak")
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    n = l.shape[0]
+    d = int(round(n**0.5))
+    pops = np.arange(d) * (d + 1)
+    diag = np.diagonal(l).copy()
+    diag[pops] = 0.0
+    inside = np.count_nonzero(l[np.ix_(pops, pops)]) + np.count_nonzero(diag)
+    return pops if np.count_nonzero(l) == inside else None
 
 
-def _trace_one_solve(lm: np.ndarray, populations: np.ndarray) -> np.ndarray | None:
+def _trace_one_solve(lm: np.ndarray) -> np.ndarray | None:
     """Solve L vec = 0 with its last row replaced by the trace row.
 
-    The last row must be a population row: trace preservation makes the
-    population rows of L sum to zero, so dropping one of them loses nothing.
-    Returns None when that matrix is singular.
+    The last row is the population rho_{d-1,d-1}: trace preservation makes
+    the population rows of L sum to zero, so dropping one of them loses
+    nothing. Returns None when that matrix is singular.
     """
     n = lm.shape[0]
+    d = int(round(n**0.5))
     m = lm.copy()
     m[-1, :] = 0.0
-    m[-1, populations] = 1.0
+    m[-1, :: d + 1] = 1.0
     rhs = np.zeros(n, dtype=complex)
     rhs[-1] = 1.0
     try:
@@ -87,34 +84,10 @@ def _gth_stationary(w: np.ndarray) -> np.ndarray | None:
     return p / p.sum()
 
 
-def _population_block_solve(lm: np.ndarray, d: int, blocks) -> np.ndarray | None:
-    """The null vector of the block holding the populations, scattered into
-    the full vector; None when the populations span several blocks.
-
-    A block of the d populations alone is a rate matrix and goes to
-    ``_gth_stationary`` on its real part; a block that also holds coherences,
-    or one where GTH stops, goes to ``_trace_one_solve``.
-    """
-    block = next(b for b in blocks if b[0] == 0)  # index 0 is rho_00
-    populations = block % (d + 1) == 0
-    if np.count_nonzero(populations) != d:
-        return None
-    sub_l = lm[np.ix_(block, block)]
-    sub = _gth_stationary(sub_l.real) if block.size == d else None
-    if sub is None:
-        sub = _trace_one_solve(sub_l, populations)
-    if sub is None:
-        return None
-    vec = np.zeros(lm.shape[0], dtype=complex)
-    vec[block] = sub
-    return vec
-
-
 def steady_state(
     l: np.ndarray,
     check_uniqueness: bool = False,
     residual_tol: float = STEADY_RESIDUAL_TOL,
-    blocks: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Unique trace-one steady state of a trace-preserving Liouvillian.
 
@@ -124,13 +97,11 @@ def steady_state(
     ``check_uniqueness`` the second-smallest singular value of L is verified to
     exceed the null-space gap tolerance (expensive: full SVD).
 
-    ``blocks`` is the partition from ``liouvillian_blocks(l)``. When it has
-    more than one block and all populations lie in one of them, that block
-    alone is solved (by GTH elimination when it holds only the populations)
-    and the result is checked against the full L. If the
-    populations span several blocks, or that solve or its check fails, the
-    dense path above runs instead, so degenerate and non-convergent
-    generators raise as they do without ``blocks``.
+    When L is in the secular layout (``secular_populations``), the real d x d
+    population block alone is solved by GTH elimination and the result is
+    checked against the full L. If GTH stops or that check fails, the dense
+    path above runs instead, so degenerate and non-convergent generators
+    raise as they do in any other layout.
     """
     n = l.shape[0]
     d = int(round(n**0.5))
@@ -139,13 +110,20 @@ def steady_state(
         return v is not None and np.isfinite(v).all() and np.linalg.norm(l @ v) <= residual_tol
 
     vec = None
-    if blocks is not None and len(blocks) > 1:
-        vec = _population_block_solve(l, d, blocks)
+    pops = secular_populations(l)
+    if pops is not None:
+        p = _gth_stationary(l[np.ix_(pops, pops)].real)
+        if p is not None:
+            vec = np.zeros(n, dtype=complex)
+            vec[pops] = p
     if not converged(vec):
-        vec = _trace_one_solve(l, np.arange(0, n, d + 1))
+        vec = _trace_one_solve(l)
     if not converged(vec):
         # fall back to the null vector from an SVD of L itself
-        _, s, vh = np.linalg.svd(l)
+        try:
+            _, s, vh = np.linalg.svd(l)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"steady-state SVD failed: {exc}") from exc
         vec = vh[-1].conj()
         tr = vec[:: d + 1].sum()
         if abs(tr) < 1e-14:
@@ -163,7 +141,7 @@ def steady_state(
                 f"Liouvillian null space not unique (sigma_2 = {s[-2]:.3e})"
             )
     residual = np.linalg.norm(l @ vec)
-    if residual > residual_tol:
+    if not residual <= residual_tol:
         raise NoConvergence(f"steady-state residual {residual:.3e} > {residual_tol:.1e}")
     rho = vec.reshape(d, d)
     rho = 0.5 * (rho + rho.conj().T)
@@ -234,8 +212,8 @@ def floquet_harmonics(
         if block is not None:
             shifted = shifted + l_minus @ block
         try:
-            block = -scipy.linalg.solve(shifted, l_plus)
-        except scipy.linalg.LinAlgError as exc:
+            block = -np.linalg.solve(shifted, l_plus)
+        except np.linalg.LinAlgError as exc:
             raise SingularHarmonicSolve(f"harmonic block k={k} singular: {exc}") from exc
         s_prop[k] = block
 
@@ -256,6 +234,6 @@ def floquet_harmonics(
         row = l @ v - 1j * k * omega_d * v
         row += l_plus @ vecs.get(k - 1, zero) + l_minus @ vecs.get(k + 1, zero)
         resid = np.linalg.norm(row)
-        if resid > residual_tol:
+        if not resid <= residual_tol:
             raise NoConvergence(f"harmonic row k={k} residual {resid:.3e} > {residual_tol:.1e}")
     return FloquetHarmonics(order=order, omega_d=omega_d, components=comps)

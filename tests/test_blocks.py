@@ -1,21 +1,27 @@
-"""The block-by-block steady state and emission resolvent of a secular
-Liouvillian against solves on the whole matrix."""
+"""The secular-layout steady state and emission resolvent against solves on
+the whole matrix, the exact layout check that selects them, and the typed
+errors of the solvers on non-finite generators."""
 import numpy as np
 import pytest
-import scipy.linalg
 
 from uscspec.dressed import dressed_basis, frequency_components
-from uscspec.errors import DegenerateSteadyState
+from uscspec.errors import DegenerateSteadyState, NoConvergence, UscSpecError
 from uscspec.gme import (
     GmeConfig,
+    build_drive_superoperators,
     build_gme,
     qubit_channel,
     resonator_channel,
     total_liouvillian,
 )
-from uscspec.model import OutputKind, SystemParams
+from uscspec.model import OutputKind, SystemParams, build_output_operator
 from uscspec.spectra import emission_probe, emission_spectrum
-from uscspec.steady import _gth_stationary, liouvillian_blocks, steady_state
+from uscspec.steady import (
+    _gth_stationary,
+    floquet_harmonics,
+    secular_populations,
+    steady_state,
+)
 
 GRID = np.linspace(0.05, 3.0, 60)
 SECULAR_CASES = [(eps, port) for eps in (0.0, 0.3)
@@ -53,81 +59,80 @@ def _dense_emission(lm, rho, x_dot, grid, method):
     b = (frequency_components(x_dot, "plus") @ rho).reshape(-1)
     probe = frequency_components(x_dot, "minus").T.reshape(-1)
     if method == "eig":
-        evals, evecs = scipy.linalg.eig(lm)
-        weights = (probe @ evecs) * scipy.linalg.solve(evecs, b)
+        evals, evecs = np.linalg.eig(lm)
+        weights = (probe @ evecs) * np.linalg.solve(evecs, b)
         return np.array([float(np.real(np.sum(weights / (1j * w - evals)))) for w in grid])
     eye = np.eye(lm.shape[0], dtype=complex)
-    return np.array([float(np.real(probe @ scipy.linalg.solve(1j * w * eye - lm, b)))
+    return np.array([float(np.real(probe @ np.linalg.solve(1j * w * eye - lm, b)))
                      for w in grid])
 
 
 @pytest.mark.parametrize("epsilon, port", SECULAR_CASES)
 class TestSecularBlocks:
-    def test_partition_is_exact(self, epsilon, port):
-        _, _, lm = _generator(epsilon, port)
-        blocks = liouvillian_blocks(lm)
-        assert 1 < len(blocks) < lm.shape[0]
-        label = np.full(lm.shape[0], -1)
-        for k, blk in enumerate(blocks):
-            assert (label[blk] == -1).all()
-            label[blk] = k
-        assert (label >= 0).all()
-        rows, cols = np.nonzero(lm)
-        assert (label[rows] == label[cols]).all()
-
     def test_steady_state_matches_dense(self, epsilon, port):
         _, _, lm = _generator(epsilon, port)
-        rho = steady_state(lm, blocks=liouvillian_blocks(lm))
-        np.testing.assert_allclose(rho, steady_state(lm), rtol=0, atol=1e-13)
+        assert secular_populations(lm) is not None
+        np.testing.assert_allclose(steady_state(lm), _dense_steady_state(lm), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("method", ["eig", "solve"])
     def test_emission_matches_dense_solve(self, epsilon, port, method):
         params, basis, lm = _generator(epsilon, port)
-        blocks = liouvillian_blocks(lm)
-        rho = steady_state(lm, blocks=blocks)
+        rho = steady_state(lm)
         x_dot = emission_probe(params, port, basis)
         dense = _dense_emission(lm, rho, x_dot, GRID, "solve")
-        got = emission_spectrum(lm, rho, x_dot, GRID, method=method, blocks=blocks).values
+        got = emission_spectrum(lm, rho, x_dot, GRID, method=method).values
         assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_secular_populations_reads_the_exact_zero_pattern():
+    _, _, lm = _generator(0.3, OutputKind.CAPACITIVE_C)
+    d = int(round(lm.shape[0] ** 0.5))
+    pops = np.arange(d) * (d + 1)
+    np.testing.assert_array_equal(secular_populations(lm), pops)
+    coh = (0, 1), (1, 0)  # rho_01 and rho_10 in the row-major vec
+    coh_a, coh_b = (a * d + b for a, b in coh)
+    for row, col in [(coh_a, coh_b), (pops[1], coh_a), (coh_b, pops[0])]:
+        broken = lm.copy()
+        broken[row, col] = 1e-300
+        assert secular_populations(broken) is None
+    _, _, filtered = _generator(0.3, OutputKind.CAPACITIVE_C, filter_b=0.02)
+    assert secular_populations(filtered) is None
+    # eta = 0: the evenly spaced ladder couples coherences of equal Bohr frequency
+    _, _, ladder = _generator(0.3, OutputKind.CAPACITIVE_C, eta=0.0)
+    assert secular_populations(ladder) is None
 
 
 def test_filtered_generator_is_one_block_and_takes_the_dense_path():
     # a finite filter bandwidth couples all Bohr frequencies once parity is broken
     params, basis, lm = _generator(0.3, OutputKind.CAPACITIVE_C, filter_b=0.02)
-    blocks = liouvillian_blocks(lm)
-    assert len(blocks) == 1
-    rho = steady_state(lm, blocks=blocks)
+    assert secular_populations(lm) is None
+    rho = steady_state(lm)
     np.testing.assert_array_equal(rho, _dense_steady_state(lm))
     x_dot = emission_probe(params, OutputKind.CAPACITIVE_C, basis)
     for method in ("eig", "solve"):
-        got = emission_spectrum(lm, rho, x_dot, GRID, method=method, blocks=blocks).values
+        got = emission_spectrum(lm, rho, x_dot, GRID, method=method).values
         np.testing.assert_array_equal(got, _dense_emission(lm, rho, x_dot, GRID, method))
 
 
 def test_split_populations_raise_as_without_blocks():
     # uncoupled qubit, port bath only: the |e, n> and |g, n> ladders each
-    # relax to their own stationary state, so the populations form two blocks
+    # relax to their own stationary state
     params = SystemParams(delta=1.3, epsilon=0.0, eta=0.0, n_fock=5)
     basis = dressed_basis(params)
     channels = [resonator_channel(gamma=1e-3, temperature=0.0,
                                   jump_kind=OutputKind.CAPACITIVE_C)]
     lm = total_liouvillian(basis, build_gme(basis, channels, GmeConfig(), params))
-    blocks = liouvillian_blocks(lm)
-    populations = np.arange(0, lm.shape[0], params.dim + 1)
-    assert sum(np.isin(populations, blk).any() for blk in blocks) == 2
-    with pytest.raises(DegenerateSteadyState) as dense:
+    with pytest.raises(DegenerateSteadyState):
         steady_state(lm)
-    with pytest.raises(DegenerateSteadyState) as blocked:
-        steady_state(lm, blocks=blocks)
-    assert str(blocked.value) == str(dense.value)
 
 
 def test_population_block_is_nonnegative_and_matches_dense():
     # fig2 at eta = 1.5, X_C port: populations fall to ~1e-138 up the ladder,
     # and the elimination of the population block keeps every one >= 0
     _, _, lm = _generator(0.0, OutputKind.CAPACITIVE_C, eta=1.5, n_fock=20)
-    pops = np.diag(steady_state(lm, blocks=liouvillian_blocks(lm))).real
-    dense = np.diag(steady_state(lm)).real
+    assert secular_populations(lm) is not None
+    pops = np.diag(steady_state(lm)).real
+    dense = np.diag(_dense_steady_state(lm)).real
     assert (pops >= 0).all()
     large = dense > 1e-8
     np.testing.assert_allclose(pops[large], dense[large], rtol=1e-9, atol=0)
@@ -142,3 +147,13 @@ def test_gth_stationary_birth_death_chain_and_reducible_chain():
     np.testing.assert_allclose(p, expected / expected.sum(), rtol=1e-14)
     w[:, 3] = 0.0  # state 3 no longer leaves, state 0 is absorbing too
     assert _gth_stationary(w) is None
+
+
+def test_non_finite_generators_raise_typed_errors():
+    params, basis, lm = _generator(0.3, OutputKind.CAPACITIVE_C, n_fock=4)
+    with pytest.raises(NoConvergence):
+        steady_state(lm * np.nan)
+    x = basis.to_dressed(build_output_operator(OutputKind.CAPACITIVE_C, params))
+    l_plus, l_minus = build_drive_superoperators(x, 1e-3, 1e-2, 0.0, 1.0, 1, params.omega_r)
+    with pytest.raises(UscSpecError):
+        floquet_harmonics(lm, l_plus * np.nan, l_minus, 1.0)

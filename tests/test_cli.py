@@ -161,6 +161,26 @@ class TestMainExitCodes:
         assert err["type"] == "ConfigInvalid"
         assert not (out / "emission_X_C.csv").exists()
 
+    @pytest.mark.parametrize("mutate", [
+        lambda c: c["system"].update(delta=float("nan")),
+        lambda c: c["baths"][1].update(gamma=float("inf")),
+        lambda c: c["baths"][1].update(gamma=float("nan")),
+        lambda c: c.update(gme={"filter_b": float("nan")}),
+        lambda c: c["grid"].update(stop=float("inf")),
+        lambda c: c.update(drive={"b_in": float("nan")}),
+    ], ids=["delta-nan", "gamma-inf", "gamma-nan", "filter-b-nan", "grid-stop-inf",
+            "b-in-nan"])
+    def test_non_finite_number_exits_2(self, tmp_path, mutate):
+        cfg = _emission_config()
+        cfg["system"]["n_fock"] = 4
+        mutate(cfg)
+        path = _write(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["emission", "--config", path, "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "ConfigInvalid"
+        assert not (out / "emission_X_C.csv").exists()
+
     @pytest.mark.parametrize("command", ["reflectivity", "audit"])
     @pytest.mark.parametrize("overrides", [
         {"sweep": {"parameter": "eta", "start": 0.5, "stop": 1.0, "points": 2}},
@@ -277,3 +297,15 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # numpy.linalg serves every solver; scipy is only imported for state labelling
+    src = str(Path(uscspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, uscspec.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
