@@ -16,7 +16,6 @@ from .model import (
 )
 from .dressed import (
     DressedBasis,
-    TransitionTable,
     build_transition_table,
     diagonalize,
     dressed_basis,
@@ -66,7 +65,6 @@ __all__ = [
     "QubitFrame",
     "SpectrumSeries",
     "SystemParams",
-    "TransitionTable",
     "UscSpecError",
     "build_drive_superoperators",
     "build_gme",

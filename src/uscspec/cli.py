@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -186,7 +187,7 @@ class RunConfig:
     output: OutputSpec = field(default_factory=OutputSpec)
     matelems: MatElemSpec = field(default_factory=MatElemSpec)
     labeling: str = "auto"  # "auto" | "jc" | "index"
-    emission_method: str = "auto"  # "auto" | "solve" | "eig"
+    emission_method: str = "auto"  # "auto" | "solve" | "eig"; whole-L emission path only
 
     def __post_init__(self):
         if self.mode not in ("eigen", "emission", "reflectivity", "matelems"):
@@ -208,6 +209,12 @@ class RunConfig:
             kinds = [b.which for b in self.baths]
             if kinds.count("qubit") != 1 or kinds.count("resonator") != 1:
                 raise ConfigInvalid("reflectivity needs exactly one qubit and one resonator bath")
+            port = self.baths[kinds.index("resonator")]
+            if port.jump_kind != "match_probe":
+                raise ConfigInvalid(
+                    f"reflectivity port jump_kind {port.jump_kind!r}: the port couples "
+                    "through the probe's operator, so it must be match_probe"
+                )
             for probe in self.probes:
                 if probe not in PROBE_COUPLING:
                     raise ConfigInvalid(f"probe {probe.value!r} has no port coupling rule")
@@ -452,15 +459,29 @@ def run_eigen(config: RunConfig, out_dir: Path, threads: int) -> None:
     write_manifest(out_dir, config)
 
 
+@contextmanager
+def _point_failure(config: RunConfig, params: SystemParams, probe: OutputKind):
+    """Re-raise a solver error of one (sweep point, probe) as a SolverFailure
+    that names the probe and the sweep coordinate."""
+    try:
+        yield
+    except UscSpecError as exc:
+        where = f"probe={probe.value}"
+        if config.sweep.parameter != "none":
+            where += f" {config.sweep.parameter}={getattr(params, config.sweep.parameter)}"
+        raise SolverFailure(f"{where}: {exc}") from exc
+
+
 def _emission_one_point(config: RunConfig, params: SystemParams,
                         probe: OutputKind, grid: np.ndarray, method: str) -> np.ndarray:
-    basis = dressed_basis(params)
     channels = [b.resolve(params, probe) for b in config.baths]
-    lg = build_gme(basis, channels, config.gme, params)
-    l_total = total_liouvillian(basis, lg)
-    rho = steady_state(l_total)
-    x_dot = emission_probe(params, probe, basis)
-    return emission_spectrum(l_total, rho, x_dot, grid, method=method).values
+    with _point_failure(config, params, probe):
+        basis = dressed_basis(params)
+        lg = build_gme(basis, channels, config.gme, params)
+        l_total = total_liouvillian(basis, lg)
+        rho = steady_state(l_total)
+        x_dot = emission_probe(params, probe, basis)
+        return emission_spectrum(l_total, rho, x_dot, grid, method=method).values
 
 
 def _reflectivity_one_point(config: RunConfig, params: SystemParams, probe: OutputKind,
@@ -469,13 +490,11 @@ def _reflectivity_one_point(config: RunConfig, params: SystemParams, probe: Outp
     qubit = next(b for b in config.baths if b.which == "qubit")
     port = next(b for b in config.baths if b.which == "resonator")
     drive = config.drive
-    try:
+    with _point_failure(config, params, probe):
         return reflectivity_spectrum(
             params, probe, omega_d, qubit.resolve(params, None), port.gamma,
             port.temperature, drive.b_in, drive.phase, config.gme, order, solved=solved,
         )
-    except UscSpecError as exc:
-        raise SolverFailure(f"probe={probe.value} epsilon={params.epsilon}: {exc}") from exc
 
 
 def run_emission(config: RunConfig, out_dir: Path, threads: int) -> None:

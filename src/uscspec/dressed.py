@@ -21,7 +21,10 @@ from .model import (
 )
 
 DEGENERACY_TOL = 1e-10
-DEFAULT_OMEGA_MIN = 1e-9
+# the secular rule: a level gap above OMEGA_MIN is a transition, and two Bohr
+# frequencies within OMEGA_MIN of each other count as equal
+OMEGA_MIN = 1e-9
+MIN_CONTINUATION_OVERLAP = 0.5
 
 
 @dataclass(frozen=True)
@@ -61,17 +64,12 @@ class DressedBasis:
             raise UnknownLabel(f"label {label!r} not present in basis") from None
 
 
-def diagonalize(
-    h: np.ndarray,
-    symmetry_op: np.ndarray | None = None,
-    reference: np.ndarray | None = None,
-) -> DressedBasis:
+def diagonalize(h: np.ndarray, symmetry_op: np.ndarray | None = None) -> DressedBasis:
     """Hermitian eigendecomposition with deterministic handling of degeneracies.
 
     Within clusters of numerically degenerate eigenvalues, eigenvectors are
     re-mixed to diagonalize ``symmetry_op`` (ordered by descending symmetry
-    eigenvalue, +1 first), or ordered by descending overlap with the columns of
-    ``reference`` when given. Without either, LAPACK output is kept as is.
+    eigenvalue, +1 first). Without it, LAPACK output is kept as is.
     """
     assert_hermitian(h, name="Hamiltonian")
     energies, vectors = np.linalg.eigh(h)
@@ -83,12 +81,6 @@ def diagonalize(
             vals, mix = np.linalg.eigh((sym + sym.conj().T) / 2.0)
             order = np.argsort(-vals)
             vectors[:, lo:hi] = block @ mix[:, order]
-        elif reference is not None:
-            ref = reference[:, lo:hi]
-            ov = np.abs(block.conj().T @ ref) ** 2
-            order = np.argmax(ov, axis=0)
-            if len(set(order.tolist())) == hi - lo:
-                vectors[:, lo:hi] = block[:, order]
     return DressedBasis(energies=energies, vectors=vectors)
 
 
@@ -119,12 +111,11 @@ def frequency_components(x_dressed: np.ndarray, which: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransitionTable:
-    """Positive transition frequencies omega_ji = E_j - E_i (j > i) above a threshold."""
+    """Positive transition frequencies omega_ji = E_j - E_i (j > i) above OMEGA_MIN."""
 
     i: np.ndarray
     j: np.ndarray
     omega: np.ndarray
-    omega_min: float
 
     def __len__(self) -> int:
         return self.omega.size
@@ -137,12 +128,12 @@ class TransitionTable:
             yield i, j, li, lj, float(self.omega[k])
 
 
-def build_transition_table(basis: DressedBasis, omega_min: float = DEFAULT_OMEGA_MIN) -> TransitionTable:
+def build_transition_table(basis: DressedBasis) -> TransitionTable:
     e = basis.energies
     ii, jj = np.triu_indices(e.size, k=1)
     om = e[jj] - e[ii]
-    keep = om > omega_min
-    return TransitionTable(i=ii[keep], j=jj[keep], omega=om[keep], omega_min=omega_min)
+    keep = om > OMEGA_MIN
+    return TransitionTable(i=ii[keep], j=jj[keep], omega=om[keep])
 
 
 def jc_initial_labels(params: SystemParams) -> tuple[str, ...]:
@@ -197,16 +188,12 @@ def plain_labels(dim: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(dim))
 
 
-def label_states(
-    bases: list[DressedBasis],
-    initial_labels=None,
-    min_overlap: float = 0.5,
-) -> list[DressedBasis]:
+def label_states(bases: list[DressedBasis], initial_labels=None) -> list[DressedBasis]:
     """Assign continuation labels along an ordered parameter sweep.
 
     The first basis receives ``initial_labels`` (plain indices when omitted);
     each subsequent basis inherits labels by a maximal-overlap assignment with
-    the previous point. Overlaps below ``min_overlap`` trigger an
+    the previous point. Overlaps below MIN_CONTINUATION_OVERLAP trigger an
     AmbiguousContinuation warning but labeling proceeds.
     """
     if not bases:
@@ -224,9 +211,10 @@ def label_states(
         for r, c in zip(row, col):
             assigned[r] = prev.labels[c]
             worst = min(worst, ov[r, c])
-        if worst < min_overlap:
+        if worst < MIN_CONTINUATION_OVERLAP:
             warnings.warn(
-                f"sweep step {step}: weakest continuation overlap {worst:.3f} < {min_overlap}",
+                f"sweep step {step}: weakest continuation overlap {worst:.3f} "
+                f"< {MIN_CONTINUATION_OVERLAP}",
                 AmbiguousContinuation,
             )
         out.append(basis.with_labels(assigned))

@@ -8,12 +8,13 @@ density matrices:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .dressed import DressedBasis, DEFAULT_OMEGA_MIN
+from .dressed import OMEGA_MIN, DressedBasis
 from .errors import EmptyChannels, InconsistentBasis, NonPositiveFrequency
 from .model import (
     ModelKind,
@@ -51,12 +52,13 @@ class BathChannel:
     jump_kind: OutputKind | None = None
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        if self.ref_frequency <= 0:
-            raise ValueError(f"ref_frequency must be > 0, got {self.ref_frequency}")
+        # chained comparisons, so that NaN and inf fail them too
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
+        if not 0 < self.ref_frequency < math.inf:
+            raise ValueError(f"ref_frequency must be finite and > 0, got {self.ref_frequency}")
         if self.which == ChannelKind.RESONATOR and self.jump_kind is None:
             raise ValueError("resonator channel needs a jump_kind")
 
@@ -77,8 +79,7 @@ def qubit_channel(gamma: float, temperature: float, delta: float) -> BathChannel
 @dataclass(frozen=True)
 class GmeConfig:
     """Assembly controls: Gaussian filter width (0 selects the secular
-    generator), positive-transition threshold, and the dephasing-weight
-    convention.
+    generator) and the dephasing-weight convention.
 
     ``dephasing_weight`` selects the pure-dephasing rate attached to the qubit
     channel: "printed" uses (gamma_q / delta) * (2 T_q + 1) exactly as stated;
@@ -86,12 +87,11 @@ class GmeConfig:
     """
 
     filter_b: float = 0.0
-    omega_min: float = DEFAULT_OMEGA_MIN
     dephasing_weight: str = "printed"
 
     def __post_init__(self):
-        if self.filter_b < 0:
-            raise ValueError(f"filter_b must be >= 0, got {self.filter_b}")
+        if not 0 <= self.filter_b < math.inf:
+            raise ValueError(f"filter_b must be finite and >= 0, got {self.filter_b}")
         if self.dephasing_weight not in ("printed", "bose"):
             raise ValueError(f"unknown dephasing_weight {self.dephasing_weight!r}")
 
@@ -143,11 +143,11 @@ def _omega_nth(omega: np.ndarray, temperature: float) -> np.ndarray:
 
 
 def gaussian_filter(omega, omega_prime, b: float):
-    """Secular filter exp(-|omega - omega'|^2 / (2 b^2)); indicator of
-    omega == omega' in the b = 0 limit."""
+    """Secular filter exp(-|omega - omega'|^2 / (2 b^2)); at b = 0 the
+    indicator of |omega - omega'| <= OMEGA_MIN, the secular rule."""
     diff = np.asarray(omega, dtype=float) - np.asarray(omega_prime, dtype=float)
     if b == 0.0:
-        out = (np.abs(diff) == 0.0).astype(float)
+        out = (np.abs(diff) <= OMEGA_MIN).astype(float)
     else:
         out = np.exp(-(diff**2) / (2.0 * b * b))
     return out if out.ndim else float(out)
@@ -160,10 +160,6 @@ def channel_operator(channel: BathChannel, params: SystemParams) -> np.ndarray:
     if params.model_kind == ModelKind.CAVITY_QED:
         return qubit_op(SIGMA_X, params.n_fock)
     return sigma_tilde_x(QubitFrame.from_params(params), params.n_fock)
-
-
-def _secular_indicator(wp, wm, tol: float) -> np.ndarray:
-    return (np.abs(wp - wm) <= tol).astype(float)
 
 
 def build_gme(
@@ -182,11 +178,11 @@ def build_gme(
     dissipator of the zero-frequency component of its coupling operator.
 
     An entry of the dressed operator at (row, col) with E_col - E_row >
-    omega_min belongs to the lowering component at omega = E_col - E_row, and
+    OMEGA_MIN belongs to the lowering component at omega = E_col - E_row, and
     its transpose entry to the raising one.
 
     At ``filter_b = 0``, when no two Bohr frequencies (nor one and 0) lie
-    within omega_min, that sum is a Pauli rate matrix on the populations plus
+    within OMEGA_MIN, that sum is a Pauli rate matrix on the populations plus
     one decay rate per coherence, and ``_secular_generator`` writes it
     directly; otherwise the filtered dissipators are summed densely.
     """
@@ -198,7 +194,7 @@ def build_gme(
     e = basis.energies
     # omega_gap[r, c] = E_c - E_r: transition frequency carried by entry (r, c)
     omega_gap = e[None, :] - e[:, None]
-    plus_mask = omega_gap > config.omega_min
+    plus_mask = omega_gap > OMEGA_MIN
     wplus = np.where(plus_mask, omega_gap, 0.0)  # frequency of A+ entries
 
     # per channel: channel, dressed X, A+, s omega n_th and s omega (n_th + 1), s = gamma / omega_i
@@ -209,39 +205,31 @@ def build_gme(
         w_n = scale * _omega_nth(wplus, ch.temperature)
         terms.append((ch, x, np.where(plus_mask, x, 0.0), w_n, w_n + scale * wplus))
 
-    if config.filter_b == 0.0:
-        if _bohr_frequencies_separated(e, config.omega_min):
-            return _secular_generator(terms, config, d)
-
-        def filt(w1, w2):
-            return _secular_indicator(w1, w2, config.omega_min)
-    else:
-        def filt(w1, w2):
-            return gaussian_filter(w1, w2, config.filter_b)
-
+    if config.filter_b == 0.0 and _bohr_frequencies_separated(e):
+        return _secular_generator(terms, config, d)
     lg = np.zeros((d * d, d * d), dtype=complex)
     for ch, x, a_plus, w_n, w_n1 in terms:
-        lg += _filtered_dissipator(a_plus, wplus, w_n1, filt)
-        lg += _filtered_dissipator(a_plus.conj().T, wplus.T, w_n.T, filt)
+        lg += _filtered_dissipator(a_plus, wplus, w_n1, config.filter_b)
+        lg += _filtered_dissipator(a_plus.conj().T, wplus.T, w_n.T, config.filter_b)
         if ch.which == ChannelKind.QUBIT:
             lg += _dephasing(x, ch, config)
     return lg
 
 
-def _bohr_frequencies_separated(e: np.ndarray, omega_min: float) -> bool:
+def _bohr_frequencies_separated(e: np.ndarray) -> bool:
     """True when no two Bohr frequencies E_a - E_b (a != b), nor one of them
-    and 0, lie within omega_min (widened by the rounding of differences of
+    and 0, lie within OMEGA_MIN (widened by the rounding of differences of
     differences). Only then does the b = 0 filter leave every coherence
     uncoupled from the other coherences and from the populations."""
     bohr = np.sort((e[:, None] - e[None, :])[~np.eye(e.size, dtype=bool)])
-    tol = omega_min + 16 * np.finfo(float).eps * np.abs(e).max()
+    tol = OMEGA_MIN + 16 * np.finfo(float).eps * np.abs(e).max()
     return bool(np.abs(bohr).min() > tol and np.diff(bohr).min() > tol)
 
 
 def _secular_generator(terms, config: GmeConfig, d: int) -> np.ndarray:
     """The b = 0 generator at separated Bohr frequencies, in O(d^2) per channel.
 
-    A transition i -> f at omega = E_i - E_f > omega_min relaxes at
+    A transition i -> f at omega = E_i - E_f > OMEGA_MIN relaxes at
     R[f, i] = s |X_fi|^2 omega (n_th + 1) and is excited back at
     R[i, f] = s |X_fi|^2 omega n_th. The populations obey W = R - diag(Gamma),
     Gamma the column sums of R; coherence (a, b) decays at
@@ -268,7 +256,7 @@ def _secular_generator(terms, config: GmeConfig, d: int) -> np.ndarray:
     return lg
 
 
-def _filtered_dissipator(j: np.ndarray, w: np.ndarray, g: np.ndarray, filt) -> np.ndarray:
+def _filtered_dissipator(j: np.ndarray, w: np.ndarray, g: np.ndarray, b: float) -> np.ndarray:
     """Filtered dissipator of one jump operator J whose entry J[r, c] is a
     transition at frequency w[r, c] with weight g[r, c]:
 
@@ -276,22 +264,23 @@ def _filtered_dissipator(j: np.ndarray, w: np.ndarray, g: np.ndarray, filt) -> n
                            - g2 J(w1)^dag J(w2) rho - g1 rho J(w1)^dag J(w2)]
 
     summed over pairs of entries: the filtered Lindblad form (Breuer and
-    Petruccione, The Theory of Open Quantum Systems, sec. 3.3). F is
-    symmetric, so the rho-on-the-left operator K = sum F g2 J(w1)^dag J(w2)
-    gives the right one as K^dag.
+    Petruccione, The Theory of Open Quantum Systems, sec. 3.3), with F the
+    ``gaussian_filter`` of bandwidth b. F is symmetric, so the
+    rho-on-the-left operator K = sum F g2 J(w1)^dag J(w2) gives the right
+    one as K^dag.
     """
     d = j.shape[0]
     g = 0.5 * g
     # rho_cd -> (J rho J^dag)_ab = J[a, c] rho[c, d2] conj(J[b, d2]), laid
     # out as (a, b, c, d2) for entry ((a, b), (c, d2)) of the superoperator
-    weight = filt(w[:, None, :, None], w[None, :, None, :])
+    weight = gaussian_filter(w[:, None, :, None], w[None, :, None, :], b)
     weight *= g[:, None, :, None] + g[None, :, None, :]
     sup = j[:, None, :, None] * j.conj()[None, :, None, :]
     sup *= weight
     del weight
     sup = sup.reshape(d * d, d * d)
     # (J^dag J)_ab = conj(J[c, a]) J[c, b], filtered on (w[c, a], w[c, b])
-    f3 = filt(w[:, :, None], w[:, None, :])
+    f3 = gaussian_filter(w[:, :, None], w[:, None, :], b)
     k = np.einsum("ca,cb,cab->ab", j.conj(), j, f3 * g[:, None, :])
     sup -= spre(k)
     sup -= spost(k.conj().T)

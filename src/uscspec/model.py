@@ -66,12 +66,15 @@ class SystemParams:
     model_kind: ModelKind = ModelKind.CIRCUIT
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
-        if self.eta < 0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
-        if self.omega_r <= 0:
-            raise ValueError(f"omega_r must be > 0, got {self.omega_r}")
+        # chained comparisons, so that NaN and inf fail them too
+        if not 0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
+        if not 0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
+        if not 0 < self.omega_r < math.inf:
+            raise ValueError(f"omega_r must be finite and > 0, got {self.omega_r}")
         if self.n_fock < 2:
             raise CutoffTooSmall(f"n_fock must be >= 2, got {self.n_fock}")
         qubit_frequency(self.delta, self.epsilon)
@@ -90,7 +93,6 @@ class QubitFrame:
     """Mixing-angle frame of the flux qubit: cos(theta) = eps/omega0, sin(theta) = delta/omega0."""
 
     omega0: float
-    theta: float
     cos_theta: float
     sin_theta: float
 
@@ -104,9 +106,7 @@ class QubitFrame:
         _, exponent = math.frexp(max(abs(delta), abs(epsilon)))
         d, e = math.ldexp(delta, -exponent), math.ldexp(epsilon, -exponent)
         norm = math.hypot(d, e)
-        cos_t = e / norm
-        sin_t = d / norm
-        return cls(omega0=omega0, theta=math.atan2(sin_t, cos_t), cos_theta=cos_t, sin_theta=sin_t)
+        return cls(omega0=omega0, cos_theta=e / norm, sin_theta=d / norm)
 
     @classmethod
     def from_params(cls, params: SystemParams) -> "QubitFrame":

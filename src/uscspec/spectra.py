@@ -61,57 +61,44 @@ def emission_spectrum(
     """Steady-state power spectrum via the quantum regression theorem.
 
     Evaluates S(w) = Re Tr[Xdot^(-) (i w - L)^{-1} (Xdot^(+) rho_ss)].
-    ``method="solve"`` performs one shifted dense solve per grid point;
-    ``method="eig"`` diagonalizes the Liouvillian once and evaluates the
-    resolvent as a pole sum, which wins for long grids. ``x_dot`` must
-    already be expressed in the dressed basis of ``l`` so the triangular
-    frequency split applies.
+    ``x_dot`` must already be expressed in the dressed basis of ``l`` so the
+    triangular frequency split applies.
 
-    When L is in the secular layout (``steady.secular_populations``), each
-    coherence is a pole at L_kk in closed form, and only the population
-    block is diagonalized or solved, and only when Xdot^(+) rho_ss and the
-    probe vector are both nonzero on it. Otherwise the whole L is.
+    When L is in the secular layout (``steady.secular_populations``), every
+    coherence row of L holds only its diagonal, and the probe vector
+    vec(Xdot^(-)^T) is zero on every population (Xdot^(-) is strictly
+    triangular). S is then a sum of poles L_kk over the coherences, with
+    weights probe_k b_k, and ``method`` plays no part. On any other L,
+    ``method="solve"`` performs one shifted dense solve per grid point and
+    ``method="eig"`` diagonalizes L once and evaluates the resolvent as a
+    pole sum, which wins for long grids.
     """
     grid = np.asarray(grid, dtype=float)
     if method not in ("eig", "solve"):
         raise ValueError(f"unknown method {method!r}")
-    x_plus = frequency_components(x_dot, "plus")
-    x_minus = frequency_components(x_dot, "minus")
-    b = (x_plus @ rho_ss).reshape(-1)
-    probe = x_minus.T.reshape(-1)  # Tr[X- M] = vec(X-^T) . vec(M)
-    pops = secular_populations(l)
-    if pops is None:
-        single, multi = np.zeros(0, dtype=int), [(l, b, probe)]
+    b = (frequency_components(x_dot, "plus") @ rho_ss).reshape(-1)
+    probe = frequency_components(x_dot, "minus").T.reshape(-1)  # Tr[X- M] = vec(X-^T) . vec(M)
+    if secular_populations(l) is not None:
+        live = np.flatnonzero((b != 0) & (probe != 0))
+        evals, weights = l[live, live], probe[live] * b[live]
+    elif method == "eig":
+        try:
+            evals, evecs = np.linalg.eig(l)
+            weights = (probe @ evecs) * np.linalg.solve(evecs, b)
+        except np.linalg.LinAlgError as exc:
+            raise ResolventSingular(f"Liouvillian eigenbasis failed: {exc}") from exc
     else:
-        single = np.setdiff1d(np.flatnonzero((b != 0) & (probe != 0)), pops)
-        live = b[pops].any() and probe[pops].any()
-        multi = [(l[np.ix_(pops, pops)], b[pops], probe[pops])] if live else []
-
-    evals = [l[single, single]]
-    weights = [probe[single] * b[single]]
-    if method == "eig":
-        for sub, rhs, lhs in multi:
+        eye = np.eye(l.shape[0], dtype=complex)
+        values = np.empty(grid.size)
+        for idx, omega in enumerate(grid):
             try:
-                block_evals, evecs = np.linalg.eig(sub)
-                block_weights = (lhs @ evecs) * np.linalg.solve(evecs, rhs)
+                values[idx] = np.real(probe @ np.linalg.solve(1j * omega * eye - l, b))
             except np.linalg.LinAlgError as exc:
-                raise ResolventSingular(f"Liouvillian eigenbasis failed: {exc}") from exc
-            evals.append(block_evals)
-            weights.append(block_weights)
-    evals = np.concatenate(evals)
-    weights = np.concatenate(weights)
+                raise ResolventSingular(f"resolvent singular at omega={omega}: {exc}") from exc
+        return SpectrumSeries(grid=grid, values=values)
     values = np.array([
         float(np.real(np.sum(weights / (1j * omega - evals)))) for omega in grid
     ])
-    if method == "solve":
-        for sub, rhs, lhs in multi:
-            eye = np.eye(sub.shape[0], dtype=complex)
-            for idx, omega in enumerate(grid):
-                try:
-                    sol = np.linalg.solve(1j * omega * eye - sub, rhs)
-                except np.linalg.LinAlgError as exc:
-                    raise ResolventSingular(f"resolvent singular at omega={omega}: {exc}") from exc
-                values[idx] += np.real(lhs @ sol)
     return SpectrumSeries(grid=grid, values=values)
 
 

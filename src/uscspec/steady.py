@@ -84,11 +84,7 @@ def _gth_stationary(w: np.ndarray) -> np.ndarray | None:
     return p / p.sum()
 
 
-def steady_state(
-    l: np.ndarray,
-    check_uniqueness: bool = False,
-    residual_tol: float = STEADY_RESIDUAL_TOL,
-) -> np.ndarray:
+def steady_state(l: np.ndarray, check_uniqueness: bool = False) -> np.ndarray:
     """Unique trace-one steady state of a trace-preserving Liouvillian.
 
     The flattened linear system L vec(rho) = 0 is closed by replacing its last
@@ -107,7 +103,8 @@ def steady_state(
     d = int(round(n**0.5))
 
     def converged(v):
-        return v is not None and np.isfinite(v).all() and np.linalg.norm(l @ v) <= residual_tol
+        return (v is not None and np.isfinite(v).all()
+                and np.linalg.norm(l @ v) <= STEADY_RESIDUAL_TOL)
 
     vec = None
     pops = secular_populations(l)
@@ -141,8 +138,8 @@ def steady_state(
                 f"Liouvillian null space not unique (sigma_2 = {s[-2]:.3e})"
             )
     residual = np.linalg.norm(l @ vec)
-    if not residual <= residual_tol:
-        raise NoConvergence(f"steady-state residual {residual:.3e} > {residual_tol:.1e}")
+    if not residual <= STEADY_RESIDUAL_TOL:
+        raise NoConvergence(f"steady-state residual {residual:.3e} > {STEADY_RESIDUAL_TOL:.1e}")
     rho = vec.reshape(d, d)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
@@ -178,7 +175,6 @@ def floquet_harmonics(
     l_minus: np.ndarray,
     omega_d: float,
     order: int = 2,
-    residual_tol: float = HARMONIC_RESIDUAL_TOL,
 ) -> FloquetHarmonics:
     """Solve the harmonic recursion (L - i k w_d) rho^k + L+ rho^{k-1} + L- rho^{k+1} = 0.
 
@@ -234,6 +230,8 @@ def floquet_harmonics(
         row = l @ v - 1j * k * omega_d * v
         row += l_plus @ vecs.get(k - 1, zero) + l_minus @ vecs.get(k + 1, zero)
         resid = np.linalg.norm(row)
-        if not resid <= residual_tol:
-            raise NoConvergence(f"harmonic row k={k} residual {resid:.3e} > {residual_tol:.1e}")
+        if not resid <= HARMONIC_RESIDUAL_TOL:
+            raise NoConvergence(
+                f"harmonic row k={k} residual {resid:.3e} > {HARMONIC_RESIDUAL_TOL:.1e}"
+            )
     return FloquetHarmonics(order=order, omega_d=omega_d, components=comps)

@@ -83,6 +83,36 @@ class TestSecularBlocks:
         got = emission_spectrum(lm, rho, x_dot, GRID, method=method).values
         assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
 
+    @pytest.mark.parametrize("method", ["eig", "solve"])
+    def test_secular_emission_calls_neither_eig_nor_solve(self, epsilon, port, method,
+                                                          monkeypatch):
+        params, basis, lm = _generator(epsilon, port)
+        rho = steady_state(lm)
+        x_dot = emission_probe(params, port, basis)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the secular pole sum needs no eig and no solve")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        got = emission_spectrum(lm, rho, x_dot, GRID, method=method).values
+        assert np.isfinite(got).all() and got.max() > 0
+
+    def test_emission_with_coherences_in_rho_matches_dense_solve(self, epsilon, port):
+        # the probe reads no population, so the coherence poles stay exact
+        # for any rho, not only for the diagonal steady state
+        params, basis, lm = _generator(epsilon, port)
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(basis.dim,) * 2) + 1j * rng.normal(size=(basis.dim,) * 2)
+        coherences = 1e-3 * (g + g.conj().T)
+        np.fill_diagonal(coherences, 0.0)
+        rho = steady_state(lm) + coherences
+        x_dot = emission_probe(params, port, basis)
+        dense = _dense_emission(lm, rho, x_dot, GRID, "solve")
+        for method in ("eig", "solve"):
+            got = emission_spectrum(lm, rho, x_dot, GRID, method=method).values
+            assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
+
 
 def test_secular_populations_reads_the_exact_zero_pattern():
     _, _, lm = _generator(0.3, OutputKind.CAPACITIVE_C)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,8 +11,22 @@ import pytest
 import yaml
 
 import uscspec
-from uscspec.cli import load_config, main, parse_config, resolve_threads
+from uscspec.cli import (
+    BathSpec,
+    DriveSpec,
+    GridSpec,
+    MatElemSpec,
+    OutputSpec,
+    RunConfig,
+    SweepSpec,
+    load_config,
+    main,
+    parse_config,
+    resolve_threads,
+)
 from uscspec.errors import ConfigInvalid
+from uscspec.gme import GmeConfig
+from uscspec.model import SystemParams
 
 
 def _emission_config(**overrides):
@@ -148,8 +163,9 @@ class TestMainExitCodes:
                                      "transitions": [["0", "1-"]]}),
         lambda c: c.update(system=3),
         lambda c: c["sweep"].update(start=-0.1),
+        lambda c: c.update(gme={"omega_min": 1e-9}),
     ], ids=["grid-key", "grid-empty-span", "fractional-points", "bath-gamma",
-            "matelems-kind", "system-scalar", "negative-eta"])
+            "matelems-kind", "system-scalar", "negative-eta", "gme-omega-min"])
     def test_malformed_config_exits_2(self, tmp_path, mutate):
         cfg = _emission_config()
         cfg["system"]["n_fock"] = 4
@@ -189,7 +205,11 @@ class TestMainExitCodes:
             {"which": "resonator", "gamma": 1e-3, "temperature": 0.55, "jump_kind": "X_C"},
             {"which": "qubit", "gamma": 5e-3, "temperature": 0.55},
         ]},
-    ], ids=["eta-sweep", "two-ports"])
+        {"baths": [
+            {"which": "resonator", "gamma": 1e-3, "temperature": 0.55, "jump_kind": "X_C"},
+            {"which": "qubit", "gamma": 5e-3, "temperature": 0.55},
+        ]},
+    ], ids=["eta-sweep", "two-ports", "port-jump-kind"])
     def test_reflectivity_rules_hold_for_audit(self, tmp_path, command, overrides):
         path = _write(tmp_path, _reflectivity_config(**overrides))
         out = tmp_path / "out"
@@ -197,6 +217,20 @@ class TestMainExitCodes:
         err = json.loads((out / "error.json").read_text())
         assert err["type"] == "ConfigInvalid"
         assert not (out / "audit.json").exists()
+
+    def test_solver_error_names_probe_and_sweep_point(self, tmp_path):
+        # uncoupled qubit and a port bath alone: two stationary states
+        cfg = _emission_config(
+            baths=[{"which": "resonator", "gamma": 1e-3, "temperature": 0.0,
+                    "jump_kind": "match_probe"}],
+            sweep={"parameter": "eta", "start": 0.0, "stop": 0.0, "points": 1})
+        cfg["system"].update(eta=0.0, n_fock=4)
+        path = _write(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["emission", "--config", path, "--out", str(out)]) == 3
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "SolverFailure"
+        assert err["error"].startswith("probe=X_C eta=0.0: ")
 
     def test_reflectivity_requires_drive(self, tmp_path):
         cfg = _emission_config(mode="reflectivity")
@@ -286,6 +320,25 @@ class TestAuditRun:
         assert main(["audit", "--config", path, "--out", str(out)]) == 0
         report = json.loads((out / "audit.json").read_text())
         assert report["result"] == "FAIL"
+
+
+def test_readme_config_schema_parses_and_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schema = readme.split("### Config schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    raw = yaml.safe_load(schema)
+    parse_config(raw)
+
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert set(raw) == names(RunConfig)
+    blocks = {"system": SystemParams, "gme": GmeConfig, "grid": GridSpec,
+              "sweep": SweepSpec, "drive": DriveSpec, "output": OutputSpec,
+              "matelems": MatElemSpec}
+    for key, cls in blocks.items():
+        assert set(raw[key]) == names(cls), key
+    assert set().union(*raw["baths"]) == names(BathSpec)
+    assert set().union(*raw["matelems"]["operators"]) == {"name", "kind", "derivative"}
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -68,12 +68,26 @@ class TestGaussianFilter:
         assert gaussian_filter(1.0, 1.0, 0.0) == 1.0
         assert gaussian_filter(1.0, 1.2, 0.0) == 0.0
 
+    def test_zero_bandwidth_window_is_omega_min(self):
+        assert gaussian_filter(1.0, 1.0 + 5e-10, 0.0) == 1.0
+        assert gaussian_filter(1.0, 1.0 + 2e-9, 0.0) == 0.0
+
     def test_finite_bandwidth(self):
         assert gaussian_filter(1.0, 1.0, 0.1) == 1.0
         assert gaussian_filter(1.0, 1.1, 0.1) == pytest.approx(np.exp(-0.5))
         assert gaussian_filter(1.0, 1.2, 0.05) == pytest.approx(
             gaussian_filter(1.2, 1.0, 0.05)
         )
+
+
+@pytest.mark.parametrize("build", [
+    lambda: qubit_channel(np.nan, 0.1, 1.0),
+    lambda: resonator_channel(1e-3, np.inf, OutputKind.CAPACITIVE_C),
+    lambda: GmeConfig(filter_b=np.nan),
+], ids=["qubit-gamma-nan", "resonator-temperature-inf", "filter-b-nan"])
+def test_non_finite_settings_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 class TestDissipatorPrimitives:

@@ -54,6 +54,15 @@ class TestQubitFrequency:
             qubit_frequency(0.0, 0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("delta", float("nan")), ("epsilon", float("nan")), ("eta", float("inf")),
+])
+def test_non_finite_system_params_rejected(field, value):
+    kwargs = {"delta": 1.0, "epsilon": 0.0, "eta": 0.5, field: value}
+    with pytest.raises(ValueError, match="finite"):
+        SystemParams(**kwargs)
+
+
 class TestSigmaTildeX:
     def test_zero_offset_is_minus_sigma_x(self):
         frame = QubitFrame.from_bias(1.0, 0.0)  # theta = pi/2
