@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,7 @@ from .spectra import (
 from .steady import steady_state
 
 THREAD_ENV_VAR = "USCSPEC_THREADS"
+SPECTRUM_MODES = ("emission", "reflectivity")
 ENERGY_AUDIT_TOL = 1e-7
 SPECTRUM_AUDIT_TOL = 1e-6
 
@@ -73,9 +75,9 @@ SPECTRUM_AUDIT_TOL = 1e-6
 # configuration
 # ---------------------------------------------------------------------------
 
-def _check_points(block: str, points) -> None:
-    if isinstance(points, bool) or not isinstance(points, int) or points < 1:
-        raise ConfigInvalid(f"{block} points must be an integer >= 1, got {points!r}")
+def _check_integer(what: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigInvalid(f"{what} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ class GridSpec:
     points: int
 
     def __post_init__(self):
-        _check_points("grid", self.points)
+        _check_integer("grid points", self.points)
         if self.start > self.stop or (self.points > 1 and self.start == self.stop):
             raise ConfigInvalid(
                 f"grid start {self.start} must be below stop {self.stop} for {self.points} points"
@@ -105,7 +107,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.parameter not in ("eta", "epsilon", "none"):
             raise ConfigInvalid(f"unknown sweep parameter {self.parameter!r}")
-        _check_points("sweep", self.points)
+        _check_integer("sweep points", self.points)
         if self.points > 1 and self.start > self.stop:
             raise ConfigInvalid(f"sweep start {self.start} > stop {self.stop}")
 
@@ -124,8 +126,7 @@ class DriveSpec:
     def __post_init__(self):
         if self.b_in <= 0:
             raise ConfigInvalid(f"drive b_in must be > 0, got {self.b_in}")
-        if self.floquet_order < 1:
-            raise ConfigInvalid("floquet_order must be >= 1")
+        _check_integer("drive floquet_order", self.floquet_order)
 
 
 @dataclass(frozen=True)
@@ -218,10 +219,17 @@ class RunConfig:
             for probe in self.probes:
                 if probe not in PROBE_COUPLING:
                     raise ConfigInvalid(f"probe {probe.value!r} has no port coupling rule")
+        _check_integer("system n_fock", self.system.n_fock)
         try:
-            _sweep_params(self)
+            _, params_list = _sweep_params(self)
         except (TypeError, ValueError, UscSpecError) as exc:
             raise ConfigInvalid(f"invalid sweep point: {exc}") from exc
+        if self.mode in SPECTRUM_MODES:
+            for params, probe, bath in product(params_list, self.probes, self.baths):
+                try:
+                    bath.resolve(params, probe)
+                except (ValueError, UscSpecError) as exc:
+                    raise ConfigInvalid(f"invalid {bath.which} bath: {exc}") from exc
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -247,9 +255,7 @@ def _block(cls, block, context: str):
 def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigInvalid("config root must be a mapping")
-    known = {"mode", "system", "baths", "gme", "probes", "grid", "sweep",
-             "drive", "output", "matelems", "labeling", "emission_method"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in dataclasses.fields(RunConfig)}
     if unknown:
         raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
 
@@ -330,20 +336,7 @@ def load_config(name_or_path: str) -> RunConfig:
 
 def resolved_dict(config: RunConfig) -> dict:
     """Every parameter the run will use, defaults included, as plain JSON types."""
-    def scrub(obj):
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            return {k: scrub(v) for k, v in dataclasses.asdict(obj).items()}
-        if isinstance(obj, dict):
-            return {k: scrub(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [scrub(v) for v in obj]
-        if isinstance(obj, (OutputKind, ModelKind)):
-            return obj.value
-        if isinstance(obj, np.generic):
-            return obj.item()
-        return obj
-
-    out = scrub(config)
+    out = dataclasses.asdict(config)  # json writes the str enums as their values
     out["version"] = __version__
     out["audit_tolerances"] = {
         "energy_abs": ENERGY_AUDIT_TOL,
@@ -395,7 +388,7 @@ def resolve_threads(cli_value: int | None) -> int:
         except ValueError as exc:
             raise ConfigInvalid(f"{THREAD_ENV_VAR} must be an integer, got {env!r}") from exc
     else:
-        n = os.cpu_count() or 1
+        n = 1
     if n < 1:
         raise ConfigInvalid(f"thread count must be >= 1, got {n}")
     return n
@@ -472,84 +465,83 @@ def _point_failure(config: RunConfig, params: SystemParams, probe: OutputKind):
         raise SolverFailure(f"{where}: {exc}") from exc
 
 
-def _emission_one_point(config: RunConfig, params: SystemParams,
-                        probe: OutputKind, grid: np.ndarray, method: str) -> np.ndarray:
-    channels = [b.resolve(params, probe) for b in config.baths]
-    with _point_failure(config, params, probe):
-        basis = dressed_basis(params)
-        lg = build_gme(basis, channels, config.gme, params)
-        l_total = total_liouvillian(basis, lg)
-        rho = steady_state(l_total)
-        x_dot = emission_probe(params, probe, basis)
-        return emission_spectrum(l_total, rho, x_dot, grid, method=method).values
+def _point_rows(config: RunConfig, params: SystemParams, probes: tuple,
+                grid: np.ndarray, method: str, extra_order: int = 0) -> list[np.ndarray]:
+    """The row of each probe at one sweep point: the emission spectrum over
+    the frequencies ``grid`` (by ``method``), or |S11| over the drive
+    frequencies ``grid`` (at Floquet order ``floquet_order + extra_order``).
+    Emission probes share one dressed basis; reflectivity probes that share
+    a port coupling share its Floquet solves."""
+    reflectivity = config.mode == "reflectivity"
+    if reflectivity:
+        qubit = next(b for b in config.baths if b.which == "qubit").resolve(params, None)
+        port = next(b for b in config.baths if b.which == "resonator")
+        order = config.drive.floquet_order + extra_order
+    rows, basis, solved = [], None, {}
+    for probe in probes:
+        with _point_failure(config, params, probe):
+            if reflectivity:
+                row = reflectivity_spectrum(
+                    params, probe, grid, qubit, port.gamma, port.temperature,
+                    config.drive.b_in, config.drive.phase, config.gme, order, solved=solved,
+                )
+            else:
+                if basis is None:
+                    basis = dressed_basis(params)
+                channels = [b.resolve(params, probe) for b in config.baths]
+                lg = build_gme(basis, channels, config.gme, params)
+                l_total = total_liouvillian(basis, lg)
+                rho = steady_state(l_total)
+                x_dot = emission_probe(params, probe, basis)
+                row = emission_spectrum(l_total, rho, x_dot, grid, method=method).values
+        rows.append(row)
+    return rows
 
 
-def _reflectivity_one_point(config: RunConfig, params: SystemParams, probe: OutputKind,
-                            omega_d: np.ndarray, order: int,
-                            solved: dict | None = None) -> np.ndarray:
-    qubit = next(b for b in config.baths if b.which == "qubit")
-    port = next(b for b in config.baths if b.which == "resonator")
-    drive = config.drive
-    with _point_failure(config, params, probe):
-        return reflectivity_spectrum(
-            params, probe, omega_d, qubit.resolve(params, None), port.gamma,
-            port.temperature, drive.b_in, drive.phase, config.gme, order, solved=solved,
-        )
+def _emission_rows(config: RunConfig, values: np.ndarray, grid: np.ndarray,
+                   stack: np.ndarray) -> list[tuple]:
+    norm = Normalization(config.output.normalization)
+    if norm == Normalization.MAX_OF_SET:
+        ref = float(np.abs(stack).max())
+    rows = []
+    for value, spec_values in zip(values, stack):
+        if norm == Normalization.PER_SPECTRUM:
+            ref = float(np.abs(spec_values).max())
+        elif norm == Normalization.RAW_ARBITRARY:
+            ref = 1.0
+        for omega, s_raw in zip(grid, spec_values):
+            s_norm = s_raw / ref if ref else s_raw
+            log_val = np.log10(max(s_norm, config.output.log_floor))
+            rows.append((value, omega, s_raw, s_norm, log_val))
+    return rows
 
 
-def run_emission(config: RunConfig, out_dir: Path, threads: int) -> None:
+def run_spectra(config: RunConfig, out_dir: Path, threads: int) -> None:
+    """Emission or reflectivity: every sweep point is evaluated before any
+    CSV is written, so a failing point leaves no partial output."""
     values, params_list = _sweep_params(config)
     grid = config.grid.values()
     method = config.emission_method
     if method == "auto":
         method = "eig" if grid.size >= 4 * len(params_list) else "solve"
+    maps = _parallel_map(
+        lambda params: _point_rows(config, params, config.probes, grid, method),
+        params_list, threads,
+    )
     sweep_col = (f"{config.sweep.parameter}_over_omega_r"
                  if config.sweep.parameter != "none" else "point")
-
-    for probe in config.probes:
-        def task(params, _probe=probe):
-            return _emission_one_point(config, params, _probe, grid, method)
-
-        maps = _parallel_map(task, params_list, threads)
-        stack = np.vstack(maps)
-        norm = Normalization(config.output.normalization)
-        if norm == Normalization.MAX_OF_SET:
-            ref = float(np.abs(stack).max())
-        rows = []
-        for value, spec_values in zip(values, stack):
-            if norm == Normalization.PER_SPECTRUM:
-                ref = float(np.abs(spec_values).max())
-            elif norm == Normalization.RAW_ARBITRARY:
-                ref = 1.0
-            for omega, s_raw in zip(grid, spec_values):
-                s_norm = s_raw / ref if ref else s_raw
-                log_val = np.log10(max(s_norm, config.output.log_floor))
-                rows.append((value, omega, s_raw, s_norm, log_val))
-        write_csv(out_dir / f"emission_{probe.value}.csv",
-                  [sweep_col, "omega_over_omega_r", "S_raw", "S_normalized", "log10_S"],
-                  rows)
-    write_manifest(out_dir, config, {"emission_method": method})
-
-
-def run_reflectivity(config: RunConfig, out_dir: Path, threads: int) -> None:
-    values, params_list = _sweep_params(config)
-    omega_d = config.grid.values()
-
-    def task(params):
-        solved = {}  # probes sharing a port coupling share its Floquet solves
-        return [_reflectivity_one_point(config, params, probe, omega_d,
-                                        config.drive.floquet_order, solved)
-                for probe in config.probes]
-
-    maps = _parallel_map(task, params_list, threads)
     for k, probe in enumerate(config.probes):
-        rows = []
-        for value, point_rows in zip(values, maps):
-            for wd, s11 in zip(omega_d, point_rows[k]):
-                rows.append((wd, value, s11))
-        write_csv(out_dir / f"reflectivity_{probe.value}.csv",
-                  ["omega_d_over_omega_r", "epsilon_over_omega_r", "S11"], rows)
-    write_manifest(out_dir, config)
+        stack = np.vstack([point[k] for point in maps])
+        if config.mode == "emission":
+            header = [sweep_col, "omega_over_omega_r", "S_raw", "S_normalized", "log10_S"]
+            rows = _emission_rows(config, values, grid, stack)
+        else:
+            header = ["omega_d_over_omega_r", "epsilon_over_omega_r", "S11"]
+            rows = [(wd, value, s11) for value, row in zip(values, stack)
+                    for wd, s11 in zip(grid, row)]
+        write_csv(out_dir / f"{config.mode}_{probe.value}.csv", header, rows)
+    write_manifest(out_dir, config,
+                   {"emission_method": method} if config.mode == "emission" else None)
 
 
 def run_matelems(config: RunConfig, out_dir: Path, threads: int) -> None:
@@ -593,6 +585,10 @@ def run_audit(config: RunConfig, out_dir: Path, threads: int) -> None:
     values, params_list = _sweep_params(config)
     sample = _audit_sample(values)
     checks = []
+    if config.mode in SPECTRUM_MODES:
+        grid = config.grid.values()
+        if config.mode == "reflectivity":
+            grid = grid[_audit_sample(grid)]  # Floquet solves are dear; sample w_d too
 
     for idx in sample:
         params = params_list[idx]
@@ -610,21 +606,10 @@ def run_audit(config: RunConfig, out_dir: Path, threads: int) -> None:
             "energy_ok": bool(energy_dev <= ENERGY_AUDIT_TOL),
         }
 
-        if config.mode == "emission":
-            grid = config.grid.values()
-            probe = config.probes[0]
-            s_small = _emission_one_point(config, params, probe, grid, "solve")
-            s_big = _emission_one_point(config, bigger, probe, grid, "solve")
-            rel = float(np.abs(s_small - s_big).max() / np.abs(s_small).max())
-            check["spectrum_rel_dev"] = rel
-            check["spectrum_ok"] = bool(rel <= SPECTRUM_AUDIT_TOL)
-        elif config.mode == "reflectivity":
-            omega_d = config.grid.values()
-            sub = omega_d[_audit_sample(omega_d)]
-            probe = config.probes[0]
-            order = config.drive.floquet_order
-            s_small = _reflectivity_one_point(config, params, probe, sub, order)
-            s_big = _reflectivity_one_point(config, bigger, probe, sub, order + 2)
+        if config.mode in SPECTRUM_MODES:
+            probes = config.probes[:1]
+            s_small, = _point_rows(config, params, probes, grid, "solve")
+            s_big, = _point_rows(config, bigger, probes, grid, "solve", extra_order=2)
             rel = float(np.abs(s_small - s_big).max() / np.abs(s_small).max())
             check["spectrum_rel_dev"] = rel
             check["spectrum_ok"] = bool(rel <= SPECTRUM_AUDIT_TOL)
@@ -650,8 +635,8 @@ def run_audit(config: RunConfig, out_dir: Path, threads: int) -> None:
 
 RUNNERS = {
     "eigen": run_eigen,
-    "emission": run_emission,
-    "reflectivity": run_reflectivity,
+    "emission": run_spectra,
+    "reflectivity": run_spectra,
     "matelems": run_matelems,
 }
 
@@ -669,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="YAML config path or bundled name (fig2, fig5, fig6)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (default: {THREAD_ENV_VAR} or cpu count)")
+                       help=f"worker threads (default: {THREAD_ENV_VAR} or 1)")
     return parser
 
 

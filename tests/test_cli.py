@@ -126,6 +126,10 @@ class TestThreadResolution:
         with pytest.raises(ConfigInvalid):
             resolve_threads(0)
 
+    def test_default_is_one(self, monkeypatch):
+        monkeypatch.delenv("USCSPEC_THREADS", raising=False)
+        assert resolve_threads(None) == 1
+
 
 class TestMainExitCodes:
     def test_bad_config_exits_2_and_writes_error(self, tmp_path):
@@ -164,8 +168,14 @@ class TestMainExitCodes:
         lambda c: c.update(system=3),
         lambda c: c["sweep"].update(start=-0.1),
         lambda c: c.update(gme={"omega_min": 1e-9}),
+        lambda c: c["baths"][0].update(gamma=-1e-3),
+        lambda c: c["baths"][1].update(temperature=-0.1),
+        lambda c: c["system"].update(n_fock=4.5),
+        lambda c: c.update(drive={"b_in": 1e-4, "floquet_order": 2.5}),
     ], ids=["grid-key", "grid-empty-span", "fractional-points", "bath-gamma",
-            "matelems-kind", "system-scalar", "negative-eta", "gme-omega-min"])
+            "matelems-kind", "system-scalar", "negative-eta", "gme-omega-min",
+            "negative-port-gamma", "negative-qubit-temperature", "fractional-n-fock",
+            "fractional-floquet-order"])
     def test_malformed_config_exits_2(self, tmp_path, mutate):
         cfg = _emission_config()
         cfg["system"]["n_fock"] = 4
@@ -209,7 +219,14 @@ class TestMainExitCodes:
             {"which": "resonator", "gamma": 1e-3, "temperature": 0.55, "jump_kind": "X_C"},
             {"which": "qubit", "gamma": 5e-3, "temperature": 0.55},
         ]},
-    ], ids=["eta-sweep", "two-ports", "port-jump-kind"])
+        {"baths": [
+            {"which": "resonator", "gamma": 1e-3, "temperature": 0.55,
+             "jump_kind": "match_probe"},
+            {"which": "qubit", "gamma": 5e-3, "temperature": -0.55},
+        ]},
+        {"drive": {"b_in": 1e-4, "floquet_order": 2.5}},
+    ], ids=["eta-sweep", "two-ports", "port-jump-kind", "negative-qubit-temperature",
+            "fractional-floquet-order"])
     def test_reflectivity_rules_hold_for_audit(self, tmp_path, command, overrides):
         path = _write(tmp_path, _reflectivity_config(**overrides))
         out = tmp_path / "out"
@@ -259,6 +276,26 @@ class TestEmissionRun:
         s = np.array([float(r["S_normalized"]) for r in rows])
         assert s.max() == pytest.approx(1.0)
         assert s.min() >= 0.0
+
+    def test_probes_share_one_dressed_basis_per_point(self, tmp_path, monkeypatch):
+        calls = []
+        diagonalize = uscspec.cli.dressed_basis
+        monkeypatch.setattr(uscspec.cli, "dressed_basis",
+                            lambda params: calls.append(params) or diagonalize(params))
+        path = _write(tmp_path, _emission_config(probes=["X_C", "X_M"]))
+        out = tmp_path / "out"
+        assert main(["emission", "--config", path, "--out", str(out), "--threads", "1"]) == 0
+        assert len(calls) == 3  # one per sweep point, shared by both probes
+
+    def test_failing_probe_writes_no_csv(self, tmp_path):
+        # X_M is not defined for the cavity-QED model, so every X_M point fails
+        cfg = _emission_config(probes=["X_C", "X_M"])
+        cfg["system"].update(model_kind="cavity_qed", n_fock=4)
+        path = _write(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["emission", "--config", path, "--out", str(out)]) == 3
+        assert json.loads((out / "error.json").read_text())["type"] == "SolverFailure"
+        assert not list(out.glob("emission_*.csv"))
 
 
 class TestEigenRun:
