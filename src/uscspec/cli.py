@@ -48,6 +48,7 @@ from .gme import (
     total_liouvillian,
 )
 from .model import (
+    UNDEFINED_OUTPUT,
     ModelKind,
     OutputKind,
     SystemParams,
@@ -225,6 +226,10 @@ class RunConfig:
         except (TypeError, ValueError, UscSpecError) as exc:
             raise ConfigInvalid(f"invalid sweep point: {exc}") from exc
         if self.mode in SPECTRUM_MODES:
+            model_kind = ModelKind(self.system.model_kind)
+            if UNDEFINED_OUTPUT[model_kind] in self.probes:
+                raise ConfigInvalid(f"probe {UNDEFINED_OUTPUT[model_kind].value!r} is not "
+                                    f"defined for the {model_kind.value} model")
             for params, probe, bath in product(params_list, self.probes, self.baths):
                 try:
                     bath.resolve(params, probe)

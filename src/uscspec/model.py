@@ -177,6 +177,11 @@ def fock_phase_rotation(n_fock: int) -> np.ndarray:
     return fock_op(np.diag((-1j) ** np.arange(n_fock)))
 
 
+# the output operator each model kind does not define
+UNDEFINED_OUTPUT = {ModelKind.CIRCUIT: OutputKind.CAVITY_D,
+                    ModelKind.CAVITY_QED: OutputKind.INDUCTIVE_M}
+
+
 def build_output_operator(kind: OutputKind, params: SystemParams) -> np.ndarray:
     """System operator seen by the output port.
 
@@ -188,6 +193,9 @@ def build_output_operator(kind: OutputKind, params: SystemParams) -> np.ndarray:
       derivative)
     - a_plus_adag = a + a^dag            (bare quadrature probe)
     """
+    model_kind = ModelKind(params.model_kind)
+    if kind == UNDEFINED_OUTPUT[model_kind]:
+        raise KindMismatch(f"{kind.value} is not defined for the {model_kind.value} model")
     frame = QubitFrame.from_params(params)
     a = annihilation(params)
     stx = sigma_tilde_x(frame, params.n_fock)
@@ -196,12 +204,8 @@ def build_output_operator(kind: OutputKind, params: SystemParams) -> np.ndarray:
     if kind == OutputKind.QUADRATURE:
         return a + a.conj().T
     if kind == OutputKind.INDUCTIVE_M:
-        if params.model_kind != ModelKind.CIRCUIT:
-            raise KindMismatch("X_M is only defined for the circuit model")
         return a + a.conj().T - 2.0 * params.eta * stx
     if kind == OutputKind.CAVITY_D:
-        if params.model_kind != ModelKind.CAVITY_QED:
-            raise KindMismatch("X_D is only defined for the cavity-QED model")
         return 1j * (a - a.conj().T) - 2.0 * params.eta * stx
     raise KindMismatch(f"unknown output kind {kind!r}")
 

@@ -15,6 +15,8 @@ from .errors import (
 
 STEADY_RESIDUAL_TOL = 1e-10
 HARMONIC_RESIDUAL_TOL = 1e-9
+HARMONIC_GMRES_MAX_ITER = 200
+HARMONIC_GMRES_TOL = 1e-15
 NULLSPACE_GAP_TOL = 1e-10
 
 
@@ -179,28 +181,53 @@ def floquet_harmonics(
     """Solve the harmonic recursion (L - i k w_d) rho^k + L+ rho^{k-1} + L- rho^{k+1} = 0.
 
     ``l`` is the full Liouvillian (coherent part included). The chain is
-    truncated at |k| = order with rho^{+/-(order+1)} = 0. Only its k > 0 side
-    is eliminated, from k = order down, into rho^k = S_k rho^{k-1} with
-    S_k = -(L - i k w_d + L- S_{k+1})^{-1} L+. The k < 0 side is its mirror
-    image: with C(M) = P conj(M) P, the superoperator of
-    rho -> (M rho^dagger)^dagger, it has rho^{-k} = C(S_k) rho^{-(k-1)}, so
-    the k = 0 row folds into L + M + C(M) with M = L- S_1, which is solved with
-    the trace constraint, and rho^{-k} = (rho^k)^dagger.
-
-    Precondition: L preserves Hermiticity (C(L) = L) and l_minus = C(l_plus),
-    as ``build_drive_superoperators`` returns them. The residual of every row
-    k = -order .. order is checked against the given ``l``, ``l_plus`` and
-    ``l_minus``, so a generator that breaks the precondition raises
-    NoConvergence instead of returning wrong harmonics.
+    truncated at |k| = order with rho^{+/-(order+1)} = 0, and rho^0 has trace
+    one. In the secular layout (``secular_populations``) ``_secular_harmonics``
+    solves it, otherwise ``_folded_harmonics``. Either way the pairing
+    rho^{-k} = (rho^k)^dagger and the residual of every row are checked
+    against the given ``l``, ``l_plus`` and ``l_minus`` (NoConvergence), and
+    each pair is returned as the mean of rho^k and (rho^{-k})^dagger.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if omega_d <= 0:
         raise ValueError(f"omega_d must be > 0, got {omega_d}")
+    pops = secular_populations(l)
+    if pops is None:
+        rho = _folded_harmonics(l, l_plus, l_minus, omega_d, order)
+    else:
+        rho = _secular_harmonics(l, pops, l_plus, l_minus, omega_d, order)
+    mirror = rho[::-1].conj().transpose(0, 2, 1)
+    pairing = np.abs(rho - mirror).max()
+    if not pairing <= HARMONIC_RESIDUAL_TOL:
+        raise NoConvergence(
+            f"harmonic pairing deviation {pairing:.3e} > {HARMONIC_RESIDUAL_TOL:.1e}"
+        )
+    rho = 0.5 * (rho + mirror)
+    ks = np.arange(-order, order + 1)
+    v = rho.reshape(ks.size, -1)
+    rows = v @ l.T - 1j * omega_d * ks[:, None] * v
+    rows[1:] += v[:-1] @ l_plus.T
+    rows[:-1] += v[1:] @ l_minus.T
+    for k, resid in zip(ks, np.linalg.norm(rows, axis=1)):
+        if not resid <= HARMONIC_RESIDUAL_TOL:
+            raise NoConvergence(
+                f"harmonic row k={k} residual {resid:.3e} > {HARMONIC_RESIDUAL_TOL:.1e}"
+            )
+    return FloquetHarmonics(order=order, omega_d=omega_d,
+                            components=dict(zip(ks.tolist(), rho)))
+
+
+def _folded_harmonics(l, l_plus, l_minus, omega_d, order) -> np.ndarray:
+    """The stacked rho^k, k = -order .. order: the k > 0 side eliminated into
+    rho^k = S_k rho^{k-1}, S_k = -(L - i k w_d + L- S_{k+1})^{-1} L+, and the
+    k < 0 side taken as its mirror, so the k = 0 row folds into L + M + C(M),
+    M = L- S_1, C(M) the superoperator of rho -> (M rho^dagger)^dagger. That
+    needs C(L) = L and l_minus = C(l_plus), as ``build_drive_superoperators``
+    gives them."""
     n = l.shape[0]
     d = int(round(n**0.5))
     eye = np.eye(n, dtype=complex)
-
     s_prop = {}  # rho^k = s_prop[k] rho^{k-1}, k = order .. 1
     block = None
     for k in range(order, 0, -1):
@@ -214,24 +241,72 @@ def floquet_harmonics(
         s_prop[k] = block
 
     m = l_minus @ s_prop[1]
-    rho0 = steady_state(l + m + _conjugate(m, d))
-
-    comps = {0: rho0}
-    up = rho0.reshape(-1)
+    rho = np.empty((2 * order + 1, n), dtype=complex)
+    rho[order] = steady_state(l + m + _conjugate(m, d)).reshape(-1)
     for k in range(1, order + 1):
-        up = s_prop[k] @ up
-        comps[k] = up.reshape(d, d)
-        comps[-k] = comps[k].conj().T
+        rho[order + k] = s_prop[k] @ rho[order + k - 1]
+    rho = rho.reshape(-1, d, d)
+    rho[:order] = rho[:order:-1].conj().transpose(0, 2, 1)
+    return rho
 
-    zero = np.zeros(n, dtype=complex)
-    vecs = {k: rho.reshape(-1) for k, rho in comps.items()}
-    for k in range(-order, order + 1):
-        v = vecs[k]
-        row = l @ v - 1j * k * omega_d * v
-        row += l_plus @ vecs.get(k - 1, zero) + l_minus @ vecs.get(k + 1, zero)
-        resid = np.linalg.norm(row)
-        if not resid <= HARMONIC_RESIDUAL_TOL:
-            raise NoConvergence(
-                f"harmonic row k={k} residual {resid:.3e} > {HARMONIC_RESIDUAL_TOL:.1e}"
-            )
-    return FloquetHarmonics(order=order, omega_d=omega_d, components=comps)
+
+def _secular_harmonics(l, pops, l_plus, l_minus, omega_d, order) -> np.ndarray:
+    """The stacked rho^k of a secular-layout L by one GMRES, right-preconditioned
+    with the undriven blocks L - i k w_d: coherence ab takes c_ab - i k w_d,
+    the populations W - i k w_d with the trace row last at k = 0. The drive
+    skips the trace row, as [X, rho] is traceless."""
+    n, d, size = l.shape[0], pops.size, 2 * order + 1
+    shift = -1j * omega_d * np.arange(-order, order + 1)
+    diag = np.diagonal(l) + shift[:, None]
+    diag[:, pops] = 1.0  # the populations go through their blocks
+    blocks = l[np.ix_(pops, pops)] + shift[:, None, None] * np.eye(d)
+    blocks[order, -1] = 1.0
+
+    def blockwise(x, scale, mats):  # scale on coherences, mats on populations
+        y = scale * x
+        y[:, pops] = (mats @ x[:, pops, None])[..., 0]
+        return y
+
+    def driven(v):  # the stacked system applied to the preconditioned v
+        x = blockwise(v.reshape(size, n), 1.0 / diag, inverse)
+        y = blockwise(x, diag, blocks)
+        trace = y[order, -1]
+        y[1:] += x[:-1] @ l_plus.T
+        y[:-1] += x[1:] @ l_minus.T
+        y[order, -1] = trace
+        return y.reshape(-1)
+
+    rhs = np.zeros(size * n, dtype=complex)
+    rhs[order * n + n - 1] = 1.0
+    try:
+        inverse = np.linalg.inv(blocks)
+        v = _gmres(driven, rhs).reshape(size, n)
+    except np.linalg.LinAlgError as exc:
+        raise SingularHarmonicSolve(f"stacked harmonic system singular: {exc}") from exc
+    return blockwise(v, 1.0 / diag, inverse).reshape(size, d, d)
+
+
+def _gmres(apply, b: np.ndarray) -> np.ndarray:
+    """apply(x) = b by GMRES from x = 0 (Saad and Schultz, SIAM J. Sci. Stat.
+    Comput. 7, 856 (1986)), with classical Gram-Schmidt run twice; raises
+    NoConvergence above HARMONIC_GMRES_TOL |b| at HARMONIC_GMRES_MAX_ITER."""
+    m, beta = HARMONIC_GMRES_MAX_ITER, np.linalg.norm(b)
+    q = np.empty((m + 1, b.size), dtype=complex)
+    q[0] = b / beta
+    h = np.zeros((m + 1, m), dtype=complex)
+    for j in range(m):
+        w = apply(q[j])
+        for _ in range(2):
+            c = q[:j + 1].conj() @ w
+            w -= c @ q[:j + 1]
+            h[:j + 1, j] += c
+        h[j + 1, j] = np.linalg.norm(w)
+        if not np.isfinite(h[j + 1, j]):
+            break
+        # least squares by QR: unlike lstsq, its triangular solve keeps small terms accurate
+        qh, rh = np.linalg.qr(h[:j + 2, :j + 1], mode="complete")
+        g = beta * qh[0].conj()  # Q^dagger (beta e_1)
+        if abs(g[-1]) <= HARMONIC_GMRES_TOL * beta:
+            return np.linalg.solve(rh[:j + 1], g[:j + 1]) @ q[:j + 1]
+        q[j + 1] = w / h[j + 1, j]
+    raise NoConvergence(f"harmonic GMRES above {HARMONIC_GMRES_TOL:.0e} after {j + 1} iterations")

@@ -24,9 +24,9 @@ from uscspec.cli import (
     parse_config,
     resolve_threads,
 )
-from uscspec.errors import ConfigInvalid
+from uscspec.errors import ConfigInvalid, NoConvergence
 from uscspec.gme import GmeConfig
-from uscspec.model import SystemParams
+from uscspec.model import OutputKind, SystemParams
 
 
 def _emission_config(**overrides):
@@ -172,10 +172,12 @@ class TestMainExitCodes:
         lambda c: c["baths"][1].update(temperature=-0.1),
         lambda c: c["system"].update(n_fock=4.5),
         lambda c: c.update(drive={"b_in": 1e-4, "floquet_order": 2.5}),
+        lambda c: c.update(probes=["X_C", "X_M"]) or c["system"].update(model_kind="cavity_qed"),
+        lambda c: c.update(probes=["X_C", "X_D"]),
     ], ids=["grid-key", "grid-empty-span", "fractional-points", "bath-gamma",
             "matelems-kind", "system-scalar", "negative-eta", "gme-omega-min",
             "negative-port-gamma", "negative-qubit-temperature", "fractional-n-fock",
-            "fractional-floquet-order"])
+            "fractional-floquet-order", "cavity-qed-x-m", "circuit-x-d"])
     def test_malformed_config_exits_2(self, tmp_path, mutate):
         cfg = _emission_config()
         cfg["system"]["n_fock"] = 4
@@ -287,10 +289,18 @@ class TestEmissionRun:
         assert main(["emission", "--config", path, "--out", str(out), "--threads", "1"]) == 0
         assert len(calls) == 3  # one per sweep point, shared by both probes
 
-    def test_failing_probe_writes_no_csv(self, tmp_path):
-        # X_M is not defined for the cavity-QED model, so every X_M point fails
+    def test_failing_probe_writes_no_csv(self, tmp_path, monkeypatch):
+        # every X_M point fails at run time, after X_C has passed there
+        probe = uscspec.cli.emission_probe
+
+        def failing(params, kind, basis):
+            if kind == OutputKind.INDUCTIVE_M:
+                raise NoConvergence("injected solver failure")
+            return probe(params, kind, basis)
+
+        monkeypatch.setattr(uscspec.cli, "emission_probe", failing)
         cfg = _emission_config(probes=["X_C", "X_M"])
-        cfg["system"].update(model_kind="cavity_qed", n_fock=4)
+        cfg["system"].update(n_fock=4)
         path = _write(tmp_path, cfg)
         out = tmp_path / "out"
         assert main(["emission", "--config", path, "--out", str(out)]) == 3

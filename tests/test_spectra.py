@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uscspec.cli import load_config
 from uscspec.dressed import (
     dressed_basis,
     frequency_components,
@@ -23,14 +24,16 @@ from uscspec.model import (
     heisenberg_derivative,
 )
 from uscspec.spectra import (
+    PROBE_COUPLING,
     Normalization,
     SpectrumSeries,
     emission_probe,
     emission_spectrum,
     matrix_element_report,
+    reflectivity_point,
     reflectivity_spectrum,
 )
-from uscspec.steady import steady_state
+from uscspec.steady import FloquetHarmonics, steady_state
 
 
 def _emission_setup(eta=0.6, epsilon=0.0, n_fock=6, gamma_r=1e-3,
@@ -217,6 +220,62 @@ class TestReflectivity:
         a = self._sweep(OutputKind.INDUCTIVE_M, np.array([0.3]), omega_grid)
         b = self._sweep(OutputKind.CAPACITIVE_C, np.array([0.3]), omega_grid)
         assert np.abs(a - b).max() > 1e-6
+
+
+class TestLinearResponse:
+    """S11 to first order in the drive, in closed form on the secular
+    generator, against Floquet over the bundled fig6 drive grid. At first
+    order rho^-1_ab = -alpha X_ab (p_b - p_a) / (c_ab + i w_d), alpha the
+    amplitude of l_minus, p the steady populations and c the diagonal of L;
+    the rest of Floquet's S11 is drive saturation, of order b_in^2."""
+
+    EPSILONS = (0.0, 0.6, 1.2)
+
+    def _gaps(self, b_values):
+        config = load_config("fig6")
+        port = next(b for b in config.baths if b.which == "resonator")
+        qubit = next(b for b in config.baths if b.which == "qubit")
+        grid = config.grid.values()
+        gaps = {b_in: [] for b_in in b_values}
+        for eps in self.EPSILONS:
+            params = SystemParams(delta=config.system.delta, epsilon=eps,
+                                  eta=config.system.eta, n_fock=8)
+            basis = dressed_basis(params)
+            qubit_bath = qubit_channel(qubit.gamma, qubit.temperature, params.delta)
+            solved = {b_in: {} for b_in in b_values}
+            for probe in config.probes:
+                coupling, sign = PROBE_COUPLING[probe]
+                channels = [resonator_channel(port.gamma, port.temperature, coupling,
+                                              params.omega_r), qubit_bath]
+                lm = total_liouvillian(basis, build_gme(basis, channels, config.gme, params))
+                rho = steady_state(lm)
+                p, c = np.diag(rho).real, np.diagonal(lm).reshape(params.dim, params.dim)
+                x = basis.to_dressed(build_output_operator(coupling, params))
+                x_plus = frequency_components(
+                    basis.to_dressed(build_output_operator(probe, params)), "plus")
+                linear = []
+                for wd in grid:
+                    alpha = -sign * np.exp(-1j * config.drive.phase) * np.sqrt(
+                        port.gamma * wd / params.omega_r)
+                    rho_m1 = -alpha * x * (p[None, :] - p[:, None]) / (c + 1j * wd)
+                    harm = FloquetHarmonics(1, wd, {0: rho, -1: rho_m1})
+                    linear.append(reflectivity_point(harm, x_plus, port.gamma, 1.0, wd,
+                                                     sign, params.omega_r))
+                for b_in in b_values:
+                    floquet = reflectivity_spectrum(
+                        params, probe, grid, qubit_bath, port.gamma, port.temperature,
+                        b_in, config.drive.phase, config.gme,
+                        config.drive.floquet_order, solved=solved[b_in])
+                    gaps[b_in].append(np.abs(floquet - np.array(linear)))
+        return {b_in: np.array(rows) for b_in, rows in gaps.items()}
+
+    def test_linear_response_matches_floquet_on_fig6_grid(self):
+        gaps = self._gaps((1e-4, 1e-5))
+        assert gaps[1e-5].max() <= 1e-6, gaps[1e-5].max()
+        # the remaining gap is saturation: it falls as b_in^2
+        worst = np.unravel_index(np.argmax(gaps[1e-4]), gaps[1e-4].shape)
+        ratio = gaps[1e-4][worst] / gaps[1e-5][worst]
+        assert 90 <= ratio <= 110, (worst, gaps[1e-4][worst], ratio)
 
 
 class TestMatrixElementReport:

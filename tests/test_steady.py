@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from uscspec import steady
 from uscspec.dressed import dressed_basis
-from uscspec.errors import NoConvergence
+from uscspec.errors import NoConvergence, SingularHarmonicSolve
 from uscspec.gme import (
     GmeConfig,
     build_drive_superoperators,
@@ -14,6 +15,7 @@ from uscspec.gme import (
 from uscspec.model import OutputKind, SystemParams, build_output_operator
 from uscspec.steady import (
     floquet_harmonics,
+    secular_populations,
     steady_state,
 )
 
@@ -55,7 +57,7 @@ class TestSteadyState:
 
 
 def _driven_system(b_in=0.03, omega_d=1.0, phase=0.0, eta=0.6,
-                   n_fock=5, order=2):
+                   n_fock=5, order=2, filter_b=0.0):
     params = SystemParams(delta=1.0, epsilon=0.0, eta=eta, n_fock=n_fock)
     basis = dressed_basis(params)
     channels = [
@@ -63,7 +65,7 @@ def _driven_system(b_in=0.03, omega_d=1.0, phase=0.0, eta=0.6,
                           jump_kind=OutputKind.CAPACITIVE_C),
         qubit_channel(gamma=5e-3, temperature=0.1, delta=params.delta),
     ]
-    lg = build_gme(basis, channels, GmeConfig(), params)
+    lg = build_gme(basis, channels, GmeConfig(filter_b=filter_b), params)
     lm = total_liouvillian(basis, lg)
     x = basis.to_dressed(build_output_operator(OutputKind.CAPACITIVE_C, params))
     lp, lmn = build_drive_superoperators(x, rate_gamma=1e-3, b_in=b_in,
@@ -163,3 +165,53 @@ class TestFloquetOracle:
             floquet_harmonics(lm, lp, 2.0 * lmn, omega_d=1.0, order=2)
         with pytest.raises(NoConvergence):
             floquet_harmonics(lm, lp, lp, omega_d=1.0, order=2)
+
+
+def _refuse(name):
+    def refuse(*args):
+        raise AssertionError(f"{name} must not run on this generator")
+    return refuse
+
+
+class TestFloquetPaths:
+    """The secular layout is solved by GMRES, any other generator (here a
+    finite filter bandwidth) by the dense fold; each path against the
+    stacked oracle, with the other path refused."""
+
+    @pytest.mark.parametrize("filter_b,refused", [(0.0, "_folded_harmonics"),
+                                                  (0.02, "_gmres")])
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("b_in,omega_d,phase", [(0.03, 1.0, 0.0),
+                                                    (0.3, 0.9, 0.7)])
+    def test_path_matches_stacked_solve(self, monkeypatch, filter_b, refused,
+                                        order, b_in, omega_d, phase):
+        params, lm, lp, lmn, _ = _driven_system(b_in=b_in, omega_d=omega_d, phase=phase,
+                                                n_fock=4, filter_b=filter_b)
+        assert (secular_populations(lm) is None) == (filter_b > 0)
+        monkeypatch.setattr(steady, refused, _refuse(refused))
+        h = floquet_harmonics(lm, lp, lmn, omega_d=omega_d, order=order)
+        ref = _stacked_harmonics(lm, lp, lmn, omega_d, order, params.dim)
+        for k in range(-order, order + 1):
+            np.testing.assert_allclose(h[k], ref[k], rtol=0, atol=1e-12)
+
+    def test_gmres_iteration_cap_raises_without_fold(self, monkeypatch):
+        _, lm, lp, lmn, _ = _driven_system(b_in=0.3, n_fock=4)
+        monkeypatch.setattr(steady, "HARMONIC_GMRES_MAX_ITER", 1)
+        monkeypatch.setattr(steady, "_folded_harmonics", _refuse("_folded_harmonics"))
+        with pytest.raises(NoConvergence, match="GMRES"):
+            floquet_harmonics(lm, lp, lmn, omega_d=1.0, order=2)
+
+    def test_split_populations_raise_typed_error(self):
+        # nothing enters or leaves state 0, so the undriven k = 0 block of the
+        # preconditioner is singular
+        params, lm, lp, lmn, _ = _driven_system(n_fock=4)
+        pops = np.arange(params.dim) * (params.dim + 1)
+        w = lm[np.ix_(pops, pops)].copy()
+        w[0, :] = w[:, 0] = 0.0
+        np.fill_diagonal(w, 0.0)
+        np.fill_diagonal(w, -w.sum(axis=0))
+        split = lm.copy()
+        split[np.ix_(pops, pops)] = w
+        assert secular_populations(split) is not None
+        with pytest.raises(SingularHarmonicSolve):
+            floquet_harmonics(split, lp, lmn, omega_d=1.0, order=2)
