@@ -28,6 +28,7 @@ from .gme import (
     BathChannel,
     ChannelKind,
     GmeConfig,
+    SecularGenerator,
     build_drive_superoperators,
     build_gme,
     dephasing_superoperator,
@@ -63,6 +64,7 @@ __all__ = [
     "Normalization",
     "OutputKind",
     "QubitFrame",
+    "SecularGenerator",
     "SpectrumSeries",
     "SystemParams",
     "UscSpecError",

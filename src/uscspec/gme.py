@@ -1,15 +1,16 @@
 """Generalized master equation: frequency-dependent thermal Liouvillian with a
 Gaussian secular filter, pure dephasing, and coherent-drive superoperators.
 
-All superoperators are dense complex arrays acting on row-major flattened
-density matrices:
+Superoperators act on row-major flattened density matrices:
 ``vec(rho)[a * d + b] = rho[a, b]``, so ``vec(X rho Y) = kron(X, Y.T) vec(rho)``.
+They are dense complex arrays, except the secular generator
+(``SecularGenerator``), which keeps only its rates and coherence decays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -96,6 +97,33 @@ class GmeConfig:
             raise ValueError(f"unknown dephasing_weight {self.dephasing_weight!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class SecularGenerator:
+    """The secular layout of a generator: populations follow the rate matrix
+    ``rates`` (rates[f, i] the rate of i -> f, columns summing to 0), and
+    rho_ab, a != b, decays alone at ``coherence[a, b]`` (its diagonal is not
+    read). It has no arithmetic and no ``__array__``: ``matrix`` builds the
+    dense d^2 x d^2 array, and ``@`` applies L to vec(rho), or to a stack of
+    such columns, in O(d^2)."""
+
+    rates: np.ndarray
+    coherence: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        d = self.rates.shape[0]
+        l = np.diag(self.coherence.reshape(-1))
+        l[:: d + 1, :: d + 1] = self.rates  # the population rows and columns
+        return l
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        d = self.rates.shape[0]
+        x = v.reshape(d * d, -1)
+        out = self.coherence.reshape(-1, 1) * x
+        out[:: d + 1] = self.rates @ x[:: d + 1]
+        return out.reshape(v.shape)
+
+
 def spre(x: np.ndarray) -> np.ndarray:
     d = x.shape[0]
     return np.kron(x, np.eye(d, dtype=complex))
@@ -167,7 +195,7 @@ def build_gme(
     channels: list[BathChannel],
     config: GmeConfig,
     params: SystemParams,
-) -> np.ndarray:
+) -> np.ndarray | SecularGenerator:
     """Assemble the dissipative generalized Liouvillian in the dressed basis.
 
     Every channel contributes two filtered dissipators (``_filtered_dissipator``)
@@ -183,8 +211,9 @@ def build_gme(
 
     At ``filter_b = 0``, when no two Bohr frequencies (nor one and 0) lie
     within OMEGA_MIN, that sum is a Pauli rate matrix on the populations plus
-    one decay rate per coherence, and ``_secular_generator`` writes it
-    directly; otherwise the filtered dissipators are summed densely.
+    one decay rate per coherence, returned as a ``SecularGenerator``
+    (``_secular_generator``); otherwise the filtered dissipators are summed
+    into a dense array.
     """
     if not channels:
         raise EmptyChannels("at least one bath channel is required")
@@ -226,7 +255,7 @@ def _bohr_frequencies_separated(e: np.ndarray) -> bool:
     return bool(np.abs(bohr).min() > tol and np.diff(bohr).min() > tol)
 
 
-def _secular_generator(terms, config: GmeConfig, d: int) -> np.ndarray:
+def _secular_generator(terms, config: GmeConfig, d: int) -> SecularGenerator:
     """The b = 0 generator at separated Bohr frequencies, in O(d^2) per channel.
 
     A transition i -> f at omega = E_i - E_f > OMEGA_MIN relaxes at
@@ -249,11 +278,7 @@ def _secular_generator(terms, config: GmeConfig, d: int) -> np.ndarray:
             coherence += kappa * (np.outer(lam, lam.conj()) - half[:, None] - half[None, :])
     escape = rates.sum(axis=0)
     coherence -= 0.5 * (escape[:, None] + escape[None, :])
-    lg = np.zeros((d * d, d * d), dtype=complex)
-    lg[np.diag_indices(d * d)] = coherence.reshape(-1)
-    populations = np.arange(d) * (d + 1)
-    lg[np.ix_(populations, populations)] = rates - np.diag(escape)
-    return lg
+    return SecularGenerator(rates - np.diag(escape), coherence)
 
 
 def _filtered_dissipator(j: np.ndarray, w: np.ndarray, g: np.ndarray, b: float) -> np.ndarray:
@@ -317,12 +342,18 @@ def dephasing_superoperator(
     return _dephasing(x, channel, config or GmeConfig())
 
 
-def total_liouvillian(basis: DressedBasis, lg: np.ndarray) -> np.ndarray:
+def total_liouvillian(
+    basis: DressedBasis, lg: np.ndarray | SecularGenerator
+) -> np.ndarray | SecularGenerator:
     """Full generator -i [H0, rho] + L_g rho in the dressed basis: H0 is
-    diagonal there, so -i [H0, .] only adds -i (E_a - E_b) on the diagonal."""
+    diagonal there, so -i [H0, .] only adds -i (E_a - E_b) to the rate of
+    rho_ab, which a ``SecularGenerator`` takes in its coherence decays."""
     e = basis.energies
+    bohr = e[:, None] - e[None, :]
+    if isinstance(lg, SecularGenerator):
+        return replace(lg, coherence=lg.coherence - 1j * bohr)
     l = lg.astype(complex)
-    l[np.diag_indices_from(l)] += -1j * (e[:, None] - e[None, :]).reshape(-1)
+    l[np.diag_indices_from(l)] += -1j * bohr.reshape(-1)
     return l
 
 

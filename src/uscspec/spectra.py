@@ -14,6 +14,7 @@ from .errors import ResolventSingular, UnknownLabel, ZeroDrive
 from .gme import (
     BathChannel,
     GmeConfig,
+    SecularGenerator,
     build_drive_superoperators,
     build_gme,
     resonator_channel,
@@ -26,7 +27,7 @@ from .model import (
     build_static_hamiltonian,
     heisenberg_derivative,
 )
-from .steady import FloquetHarmonics, floquet_harmonics, secular_populations
+from .steady import FloquetHarmonics, floquet_harmonics
 
 
 class Normalization(str, Enum):
@@ -52,7 +53,7 @@ class SpectrumSeries:
 
 
 def emission_spectrum(
-    l: np.ndarray,
+    l: np.ndarray | SecularGenerator,
     rho_ss: np.ndarray,
     x_dot: np.ndarray,
     grid: np.ndarray,
@@ -64,11 +65,10 @@ def emission_spectrum(
     ``x_dot`` must already be expressed in the dressed basis of ``l`` so the
     triangular frequency split applies.
 
-    When L is in the secular layout (``steady.secular_populations``), every
-    coherence row of L holds only its diagonal, and the probe vector
-    vec(Xdot^(-)^T) is zero on every population (Xdot^(-) is strictly
-    triangular). S is then a sum of poles L_kk over the coherences, with
-    weights probe_k b_k, and ``method`` plays no part. On any other L,
+    For a ``SecularGenerator`` each coherence decays on its own, and the probe
+    vector vec(Xdot^(-)^T) is zero on every population (Xdot^(-) is strictly
+    triangular). S is then a sum of poles c_ab over the coherences, with
+    weights probe_ab b_ab, and ``method`` plays no part. On a dense L,
     ``method="solve"`` performs one shifted dense solve per grid point and
     ``method="eig"`` diagonalizes L once and evaluates the resolvent as a
     pole sum, which wins for long grids.
@@ -78,9 +78,9 @@ def emission_spectrum(
         raise ValueError(f"unknown method {method!r}")
     b = (frequency_components(x_dot, "plus") @ rho_ss).reshape(-1)
     probe = frequency_components(x_dot, "minus").T.reshape(-1)  # Tr[X- M] = vec(X-^T) . vec(M)
-    if secular_populations(l) is not None:
+    if isinstance(l, SecularGenerator):
         live = np.flatnonzero((b != 0) & (probe != 0))
-        evals, weights = l[live, live], probe[live] * b[live]
+        evals, weights = l.coherence.reshape(-1)[live], probe[live] * b[live]
     elif method == "eig":
         try:
             evals, evecs = np.linalg.eig(l)

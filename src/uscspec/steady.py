@@ -12,31 +12,13 @@ from .errors import (
     NoConvergence,
     SingularHarmonicSolve,
 )
+from .gme import SecularGenerator
 
 STEADY_RESIDUAL_TOL = 1e-10
 HARMONIC_RESIDUAL_TOL = 1e-9
 HARMONIC_GMRES_MAX_ITER = 200
 HARMONIC_GMRES_TOL = 1e-15
 NULLSPACE_GAP_TOL = 1e-10
-
-
-def secular_populations(l: np.ndarray) -> np.ndarray | None:
-    """The population indices ``arange(d) * (d + 1)`` of a generator in the
-    secular layout, else None.
-
-    In that layout every nonzero entry of L lies on its diagonal or in a
-    population row and column, so the populations form one closed block (a
-    rate matrix) and each coherence is its own 1x1 block. ``build_gme``
-    writes exactly this at ``filter_b = 0`` when no two Bohr frequencies
-    meet. The test reads the exact zero pattern, with no tolerance.
-    """
-    n = l.shape[0]
-    d = int(round(n**0.5))
-    pops = np.arange(d) * (d + 1)
-    diag = np.diagonal(l).copy()
-    diag[pops] = 0.0
-    inside = np.count_nonzero(l[np.ix_(pops, pops)]) + np.count_nonzero(diag)
-    return pops if np.count_nonzero(l) == inside else None
 
 
 def _trace_one_solve(lm: np.ndarray) -> np.ndarray | None:
@@ -86,37 +68,28 @@ def _gth_stationary(w: np.ndarray) -> np.ndarray | None:
     return p / p.sum()
 
 
-def steady_state(l: np.ndarray, check_uniqueness: bool = False) -> np.ndarray:
+def steady_state(l: np.ndarray | SecularGenerator) -> np.ndarray:
     """Unique trace-one steady state of a trace-preserving Liouvillian.
 
-    The flattened linear system L vec(rho) = 0 is closed by replacing its last
-    row with the trace-normalization row and solved directly; if that solve is
-    ill-conditioned the smallest right singular vector is used instead. With
-    ``check_uniqueness`` the second-smallest singular value of L is verified to
-    exceed the null-space gap tolerance (expensive: full SVD).
-
-    When L is in the secular layout (``secular_populations``), the real d x d
-    population block alone is solved by GTH elimination and the result is
-    checked against the full L. If GTH stops or that check fails, the dense
-    path above runs instead, so degenerate and non-convergent generators
-    raise as they do in any other layout.
+    A ``SecularGenerator`` takes GTH elimination of its rate matrix, checked
+    against the whole L. A dense L, or one whose GTH stops or fails that
+    check (as ``l.matrix``), takes L vec(rho) = 0 with its last row replaced
+    by the trace row, solved directly, and if that is ill-conditioned the
+    smallest right singular vector of L.
     """
-    n = l.shape[0]
-    d = int(round(n**0.5))
 
     def converged(v):
         return (v is not None and np.isfinite(v).all()
                 and np.linalg.norm(l @ v) <= STEADY_RESIDUAL_TOL)
 
-    vec = None
-    pops = secular_populations(l)
-    if pops is not None:
-        p = _gth_stationary(l[np.ix_(pops, pops)].real)
-        if p is not None:
-            vec = np.zeros(n, dtype=complex)
-            vec[pops] = p
-    if not converged(vec):
-        vec = _trace_one_solve(l)
+    if isinstance(l, SecularGenerator):
+        p = _gth_stationary(l.rates)
+        rho = None if p is None else np.diag(p).astype(complex)
+        if rho is not None and converged(rho.reshape(-1)):
+            return rho / np.trace(rho).real
+        l = l.matrix
+    d = int(round(l.shape[0] ** 0.5))
+    vec = _trace_one_solve(l)
     if not converged(vec):
         # fall back to the null vector from an SVD of L itself
         try:
@@ -132,12 +105,6 @@ def steady_state(l: np.ndarray, check_uniqueness: bool = False) -> np.ndarray:
             raise DegenerateSteadyState(
                 f"Liouvillian null space not unique (sigma_2 = {s[-2]:.3e}); "
                 "at zero offset the parity sectors each carry a stationary state"
-            )
-    if check_uniqueness:
-        s = np.linalg.svd(l, compute_uv=False)
-        if s[-2] < NULLSPACE_GAP_TOL:
-            raise DegenerateSteadyState(
-                f"Liouvillian null space not unique (sigma_2 = {s[-2]:.3e})"
             )
     residual = np.linalg.norm(l @ vec)
     if not residual <= STEADY_RESIDUAL_TOL:
@@ -172,7 +139,7 @@ def _conjugate(m: np.ndarray, d: int) -> np.ndarray:
 
 
 def floquet_harmonics(
-    l: np.ndarray,
+    l: np.ndarray | SecularGenerator,
     l_plus: np.ndarray,
     l_minus: np.ndarray,
     omega_d: float,
@@ -182,8 +149,8 @@ def floquet_harmonics(
 
     ``l`` is the full Liouvillian (coherent part included). The chain is
     truncated at |k| = order with rho^{+/-(order+1)} = 0, and rho^0 has trace
-    one. In the secular layout (``secular_populations``) ``_secular_harmonics``
-    solves it, otherwise ``_folded_harmonics``. Either way the pairing
+    one. ``_secular_harmonics`` solves it for a ``SecularGenerator``,
+    ``_folded_harmonics`` for a dense array. Either way the pairing
     rho^{-k} = (rho^k)^dagger and the residual of every row are checked
     against the given ``l``, ``l_plus`` and ``l_minus`` (NoConvergence), and
     each pair is returned as the mean of rho^k and (rho^{-k})^dagger.
@@ -192,11 +159,10 @@ def floquet_harmonics(
         raise ValueError(f"order must be >= 1, got {order}")
     if omega_d <= 0:
         raise ValueError(f"omega_d must be > 0, got {omega_d}")
-    pops = secular_populations(l)
-    if pops is None:
-        rho = _folded_harmonics(l, l_plus, l_minus, omega_d, order)
+    if isinstance(l, SecularGenerator):
+        rho = _secular_harmonics(l, l_plus, l_minus, omega_d, order)
     else:
-        rho = _secular_harmonics(l, pops, l_plus, l_minus, omega_d, order)
+        rho = _folded_harmonics(l, l_plus, l_minus, omega_d, order)
     mirror = rho[::-1].conj().transpose(0, 2, 1)
     pairing = np.abs(rho - mirror).max()
     if not pairing <= HARMONIC_RESIDUAL_TOL:
@@ -206,7 +172,7 @@ def floquet_harmonics(
     rho = 0.5 * (rho + mirror)
     ks = np.arange(-order, order + 1)
     v = rho.reshape(ks.size, -1)
-    rows = v @ l.T - 1j * omega_d * ks[:, None] * v
+    rows = (l @ v.T).T - 1j * omega_d * ks[:, None] * v
     rows[1:] += v[:-1] @ l_plus.T
     rows[:-1] += v[1:] @ l_minus.T
     for k, resid in zip(ks, np.linalg.norm(rows, axis=1)):
@@ -250,16 +216,17 @@ def _folded_harmonics(l, l_plus, l_minus, omega_d, order) -> np.ndarray:
     return rho
 
 
-def _secular_harmonics(l, pops, l_plus, l_minus, omega_d, order) -> np.ndarray:
-    """The stacked rho^k of a secular-layout L by one GMRES, right-preconditioned
-    with the undriven blocks L - i k w_d: coherence ab takes c_ab - i k w_d,
-    the populations W - i k w_d with the trace row last at k = 0. The drive
-    skips the trace row, as [X, rho] is traceless."""
-    n, d, size = l.shape[0], pops.size, 2 * order + 1
+def _secular_harmonics(l, l_plus, l_minus, omega_d, order) -> np.ndarray:
+    """The stacked rho^k of a ``SecularGenerator`` by one GMRES,
+    right-preconditioned with the undriven blocks L - i k w_d: coherence ab
+    takes c_ab - i k w_d, the populations W - i k w_d with the trace row last
+    at k = 0. The drive skips the trace row, as [X, rho] is traceless."""
+    d, size = l.rates.shape[0], 2 * order + 1
+    n, pops = d * d, slice(None, None, d + 1)
     shift = -1j * omega_d * np.arange(-order, order + 1)
-    diag = np.diagonal(l) + shift[:, None]
+    diag = l.coherence.reshape(-1) + shift[:, None]
     diag[:, pops] = 1.0  # the populations go through their blocks
-    blocks = l[np.ix_(pops, pops)] + shift[:, None, None] * np.eye(d)
+    blocks = l.rates + shift[:, None, None] * np.eye(d)
     blocks[order, -1] = 1.0
 
     def blockwise(x, scale, mats):  # scale on coherences, mats on populations

@@ -137,13 +137,13 @@ def test_criterion_02_trace_and_hermiticity_preservation(capsys):
                     basis, build_gme(basis, channels, GmeConfig(), params)
                 )
                 d = params.dim
-                trace_row = np.eye(d).reshape(-1) @ lm
+                trace_row = np.eye(d).reshape(-1) @ lm.matrix
                 assert np.abs(trace_row).max() < 1e-12, (
                     f"trace leak {np.abs(trace_row).max():.2e} "
                     f"({jump_kind.value}, T={temp})")
                 # hermiticity preservation: (L rho)^dag = L rho^dag for all
                 # rho, i.e. L[(ij),(kl)] = conj(L[(ji),(lk)])
-                t = lm.reshape(d, d, d, d)
+                t = lm.matrix.reshape(d, d, d, d)
                 herm_dev = np.abs(t - t.conj().transpose(1, 0, 3, 2)).max()
                 assert herm_dev < 1e-12, (
                     f"hermiticity leak {herm_dev:.2e} "
@@ -183,7 +183,7 @@ def test_criterion_03_secular_limit_matches_lindblad_oracle(capsys):
                     ref += rate * n_th * dissipator(jump.conj().T)
         # the zero-bias qubit channel carries no dephasing term, so the full
         # generator is the pairwise Lindblad sum
-        dev = np.abs(lm - ref).max()
+        dev = np.abs(lm.matrix - ref).max()
         assert dev < 1e-12, f"element deviation {dev:.2e}"
 
 
@@ -202,7 +202,7 @@ def test_criterion_04_regression_spectrum_matches_time_domain(capsys):
         x_plus = frequency_components(xd, "plus")
         x_minus = frequency_components(xd, "minus")
         dt, n_steps = 0.05, 160_000
-        step = scipy.linalg.expm(lm * dt)
+        step = scipy.linalg.expm(lm.matrix * dt)
         v = (x_plus @ rho).reshape(-1)
         probe = x_minus.T.reshape(-1)
         taus = np.arange(n_steps + 1) * dt

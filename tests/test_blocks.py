@@ -1,13 +1,19 @@
 """The secular-layout steady state and emission resolvent against solves on
-the whole matrix, the exact layout check that selects them, and the typed
-errors of the solvers on non-finite generators."""
+the whole matrix, the ``SecularGenerator`` that carries that layout from
+``build_gme`` to the solvers, and the typed errors of the solvers on
+non-finite generators."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import yaml
 
+from uscspec import cli, gme
 from uscspec.dressed import dressed_basis, frequency_components
 from uscspec.errors import DegenerateSteadyState, NoConvergence, UscSpecError
 from uscspec.gme import (
     GmeConfig,
+    SecularGenerator,
     build_drive_superoperators,
     build_gme,
     qubit_channel,
@@ -19,9 +25,10 @@ from uscspec.spectra import emission_probe, emission_spectrum
 from uscspec.steady import (
     _gth_stationary,
     floquet_harmonics,
-    secular_populations,
     steady_state,
 )
+
+from test_trace_hooks import CONFIGS  # tiny emission and reflectivity runs
 
 GRID = np.linspace(0.05, 3.0, 60)
 SECULAR_CASES = [(eps, port) for eps in (0.0, 0.3)
@@ -71,15 +78,16 @@ def _dense_emission(lm, rho, x_dot, grid, method):
 class TestSecularBlocks:
     def test_steady_state_matches_dense(self, epsilon, port):
         _, _, lm = _generator(epsilon, port)
-        assert secular_populations(lm) is not None
-        np.testing.assert_allclose(steady_state(lm), _dense_steady_state(lm), rtol=0, atol=1e-13)
+        assert isinstance(lm, SecularGenerator)
+        np.testing.assert_allclose(steady_state(lm), _dense_steady_state(lm.matrix),
+                                   rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("method", ["eig", "solve"])
     def test_emission_matches_dense_solve(self, epsilon, port, method):
         params, basis, lm = _generator(epsilon, port)
         rho = steady_state(lm)
         x_dot = emission_probe(params, port, basis)
-        dense = _dense_emission(lm, rho, x_dot, GRID, "solve")
+        dense = _dense_emission(lm.matrix, rho, x_dot, GRID, "solve")
         got = emission_spectrum(lm, rho, x_dot, GRID, method=method).values
         assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -108,34 +116,66 @@ class TestSecularBlocks:
         np.fill_diagonal(coherences, 0.0)
         rho = steady_state(lm) + coherences
         x_dot = emission_probe(params, port, basis)
-        dense = _dense_emission(lm, rho, x_dot, GRID, "solve")
+        dense = _dense_emission(lm.matrix, rho, x_dot, GRID, "solve")
         for method in ("eig", "solve"):
             got = emission_spectrum(lm, rho, x_dot, GRID, method=method).values
             assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
-def test_secular_populations_reads_the_exact_zero_pattern():
+def test_build_gme_returns_the_secular_type_only_in_the_secular_layout():
     _, _, lm = _generator(0.3, OutputKind.CAPACITIVE_C)
-    d = int(round(lm.shape[0] ** 0.5))
-    pops = np.arange(d) * (d + 1)
-    np.testing.assert_array_equal(secular_populations(lm), pops)
-    coh = (0, 1), (1, 0)  # rho_01 and rho_10 in the row-major vec
-    coh_a, coh_b = (a * d + b for a, b in coh)
-    for row, col in [(coh_a, coh_b), (pops[1], coh_a), (coh_b, pops[0])]:
-        broken = lm.copy()
-        broken[row, col] = 1e-300
-        assert secular_populations(broken) is None
+    assert isinstance(lm, SecularGenerator)
     _, _, filtered = _generator(0.3, OutputKind.CAPACITIVE_C, filter_b=0.02)
-    assert secular_populations(filtered) is None
+    assert isinstance(filtered, np.ndarray)
     # eta = 0: the evenly spaced ladder couples coherences of equal Bohr frequency
     _, _, ladder = _generator(0.3, OutputKind.CAPACITIVE_C, eta=0.0)
-    assert secular_populations(ladder) is None
+    assert isinstance(ladder, np.ndarray)
+
+
+def test_secular_generator_applies_as_its_matrix():
+    _, _, lm = _generator(0.3, OutputKind.INDUCTIVE_M)
+    rng = np.random.default_rng(7)
+    n = lm.rates.shape[0] ** 2
+    for shape in [(n,), (n, 3)]:
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        np.testing.assert_allclose(lm @ v, lm.matrix @ v, rtol=1e-13, atol=1e-16)
+
+
+def test_total_liouvillian_of_the_type_matches_its_matrix():
+    params = SystemParams(delta=1.0, epsilon=0.3, eta=0.8, n_fock=7)
+    basis = dressed_basis(params)
+    channels = [resonator_channel(1e-3, 0.0, OutputKind.CAPACITIVE_C),
+                qubit_channel(1e-2, 0.1, params.delta)]
+    lg = build_gme(basis, channels, GmeConfig(), params)
+    np.testing.assert_array_equal(total_liouvillian(basis, lg).matrix,
+                                  total_liouvillian(basis, lg.matrix))
+
+
+@pytest.mark.parametrize("mode", sorted(CONFIGS))
+def test_cli_spectra_never_build_the_dense_secular_generator(tmp_path, monkeypatch, mode):
+    built = []
+    secular = gme._secular_generator
+
+    def counted(*args):
+        built.append(secular(*args))
+        return built[-1]
+
+    def refuse(self):
+        raise AssertionError("a secular-layout point built its d^2 x d^2 generator")
+
+    monkeypatch.setattr(gme, "_secular_generator", counted)
+    monkeypatch.setattr(SecularGenerator, "matrix", property(refuse))
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(CONFIGS[mode]))
+    argv = [mode, "--config", str(config), "--out", str(tmp_path / "out"), "--threads", "1"]
+    assert cli.main(argv) == 0
+    assert built
 
 
 def test_filtered_generator_is_one_block_and_takes_the_dense_path():
     # a finite filter bandwidth couples all Bohr frequencies once parity is broken
     params, basis, lm = _generator(0.3, OutputKind.CAPACITIVE_C, filter_b=0.02)
-    assert secular_populations(lm) is None
+    assert isinstance(lm, np.ndarray)
     rho = steady_state(lm)
     np.testing.assert_array_equal(rho, _dense_steady_state(lm))
     x_dot = emission_probe(params, OutputKind.CAPACITIVE_C, basis)
@@ -160,9 +200,9 @@ def test_population_block_is_nonnegative_and_matches_dense():
     # fig2 at eta = 1.5, X_C port: populations fall to ~1e-138 up the ladder,
     # and the elimination of the population block keeps every one >= 0
     _, _, lm = _generator(0.0, OutputKind.CAPACITIVE_C, eta=1.5, n_fock=20)
-    assert secular_populations(lm) is not None
+    assert isinstance(lm, SecularGenerator)
     pops = np.diag(steady_state(lm)).real
-    dense = np.diag(_dense_steady_state(lm)).real
+    dense = np.diag(_dense_steady_state(lm.matrix)).real
     assert (pops >= 0).all()
     large = dense > 1e-8
     np.testing.assert_allclose(pops[large], dense[large], rtol=1e-9, atol=0)
@@ -182,7 +222,9 @@ def test_gth_stationary_birth_death_chain_and_reducible_chain():
 def test_non_finite_generators_raise_typed_errors():
     params, basis, lm = _generator(0.3, OutputKind.CAPACITIVE_C, n_fock=4)
     with pytest.raises(NoConvergence):
-        steady_state(lm * np.nan)
+        steady_state(lm.matrix * np.nan)
+    with pytest.raises(UscSpecError):
+        steady_state(replace(lm, rates=lm.rates * np.nan))
     x = basis.to_dressed(build_output_operator(OutputKind.CAPACITIVE_C, params))
     l_plus, l_minus = build_drive_superoperators(x, 1e-3, 1e-2, 0.0, 1.0, 1, params.omega_r)
     with pytest.raises(UscSpecError):

@@ -133,7 +133,7 @@ class TestLiouvillianStructure:
                                             t_q=temp)
         lm = total_liouvillian(basis, lg)
         d = params.dim
-        trace_row = np.eye(d).reshape(-1) @ lm
+        trace_row = np.eye(d).reshape(-1) @ lm.matrix
         assert np.abs(trace_row).max() < 1e-12
 
     def test_hermiticity_preservation(self):
@@ -154,7 +154,7 @@ class TestLiouvillianStructure:
                                     jump_kind=OutputKind.CAPACITIVE_C)]
             return build_gme(basis, ch, GmeConfig(), params)
 
-        np.testing.assert_allclose(build(2e-3), 2.0 * build(1e-3), atol=1e-15)
+        np.testing.assert_allclose(build(2e-3).matrix, 2.0 * build(1e-3).matrix, atol=1e-15)
 
     def test_zero_temperature_relaxes_to_ground_state(self):
         params, basis, lg = _standard_setup(t_r=0.0, t_q=0.0)
@@ -206,7 +206,7 @@ class TestSecularOracle:
                 n_th = thermal_occupation(w, temp)
                 ref += rate * (n_th + 1) * dissipator(jump)
                 ref += rate * n_th * dissipator(jump.conj().T)
-        np.testing.assert_allclose(lm, ref, atol=1e-12)
+        np.testing.assert_allclose(lm.matrix, ref, atol=1e-12)
 
 
 def _count_filtered_dissipators(monkeypatch):
@@ -238,7 +238,7 @@ class TestSecularClosedForm:
         assert not calls
         _, _, dense = _standard_setup(filter_b=1e-150, **setup)
         assert len(calls) == 4
-        assert np.abs(closed - dense).max() <= 1e-15 * np.abs(dense).max()
+        assert np.abs(closed.matrix - dense).max() <= 1e-15 * np.abs(dense).max()
 
     def test_equal_bohr_frequencies_take_the_filtered_sum(self, monkeypatch):
         calls = _count_filtered_dissipators(monkeypatch)

@@ -141,7 +141,7 @@ class TestEmissionSpectrum:
         x_plus = frequency_components(xd, "plus")
         x_minus = frequency_components(xd, "minus")
         dt, n_steps = 0.05, 24000
-        step = scipy.linalg.expm(lm * dt)
+        step = scipy.linalg.expm(lm.matrix * dt)
         v = (x_plus @ rho).reshape(-1)
         probe = x_minus.T.reshape(-1)
         taus = np.arange(n_steps + 1) * dt
@@ -249,7 +249,7 @@ class TestLinearResponse:
                                               params.omega_r), qubit_bath]
                 lm = total_liouvillian(basis, build_gme(basis, channels, config.gme, params))
                 rho = steady_state(lm)
-                p, c = np.diag(rho).real, np.diagonal(lm).reshape(params.dim, params.dim)
+                p, c = np.diag(rho).real, np.diagonal(lm.matrix).reshape(params.dim, params.dim)
                 x = basis.to_dressed(build_output_operator(coupling, params))
                 x_plus = frequency_components(
                     basis.to_dressed(build_output_operator(probe, params)), "plus")
