@@ -208,6 +208,10 @@ class RunConfig:
         if self.mode == "reflectivity":
             if self.sweep.parameter == "eta":
                 raise ConfigInvalid("reflectivity sweeps run over epsilon (or none)")
+            if not self.grid.start > 0:
+                raise ConfigInvalid(
+                    f"reflectivity drive frequencies must be > 0, grid starts at {self.grid.start}"
+                )
             kinds = [b.which for b in self.baths]
             if kinds.count("qubit") != 1 or kinds.count("resonator") != 1:
                 raise ConfigInvalid("reflectivity needs exactly one qubit and one resonator bath")

@@ -4,7 +4,8 @@ Gaussian secular filter, pure dephasing, and coherent-drive superoperators.
 Superoperators act on row-major flattened density matrices:
 ``vec(rho)[a * d + b] = rho[a, b]``, so ``vec(X rho Y) = kron(X, Y.T) vec(rho)``.
 They are dense complex arrays, except the secular generator
-(``SecularGenerator``), which keeps only its rates and coherence decays.
+(``SecularGenerator``), which keeps only its rates and coherence decays, and
+the drive (``Commutator``), which keeps only its d x d operator.
 """
 
 from __future__ import annotations
@@ -122,6 +123,26 @@ class SecularGenerator:
         out = self.coherence.reshape(-1, 1) * x
         out[:: d + 1] = self.rates @ x[:: d + 1]
         return out.reshape(v.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class Commutator:
+    """rho -> coefficient [x, rho]. It has no arithmetic and no ``__array__``:
+    ``matrix`` builds the dense d^2 x d^2 array, and ``@`` applies it to
+    vec(rho), or to a stack of such columns, in O(d^3) per column."""
+
+    x: np.ndarray
+    coefficient: complex
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.coefficient * (spre(self.x) - spost(self.x))
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        d = self.x.shape[0]
+        rho = np.moveaxis(v.reshape(d, d, -1), -1, 0)  # one d x d matrix per column
+        out = self.coefficient * (self.x @ rho - rho @ self.x)
+        return np.moveaxis(out, 0, -1).reshape(v.shape)
 
 
 def spre(x: np.ndarray) -> np.ndarray:
@@ -365,9 +386,9 @@ def build_drive_superoperators(
     omega_d: float,
     coupling_sign: int,
     omega_r: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[Commutator, Commutator]:
     """Coherent-drive superoperators L_{+/-} rho = +/- s |b_in| e^{+/- i phi}
-    sqrt(gamma omega_d / omega_r) [X, rho].
+    sqrt(gamma omega_d / omega_r) [X, rho], as two ``Commutator`` on X.
 
     These are -i[h_{+/-}, rho] with h_- = h_+^dagger, so the sideband pair
     keeps the time-periodic density matrix Hermitian: (L_+ rho)^dagger
@@ -379,8 +400,6 @@ def build_drive_superoperators(
         raise NonPositiveFrequency("drive frequency must be positive")
     if rate_gamma < 0:
         raise ValueError("rate_gamma must be >= 0")
-    comm = spre(x) - spost(x)
     amp = abs(b_in) * np.sqrt(rate_gamma * omega_d / omega_r)
-    lp = coupling_sign * amp * np.exp(1j * phase) * comm
-    lm = -coupling_sign * amp * np.exp(-1j * phase) * comm
-    return lp, lm
+    return (Commutator(x, coupling_sign * amp * np.exp(1j * phase)),
+            Commutator(x, -coupling_sign * amp * np.exp(-1j * phase)))

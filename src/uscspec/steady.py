@@ -12,7 +12,7 @@ from .errors import (
     NoConvergence,
     SingularHarmonicSolve,
 )
-from .gme import SecularGenerator
+from .gme import Commutator, SecularGenerator
 
 STEADY_RESIDUAL_TOL = 1e-10
 HARMONIC_RESIDUAL_TOL = 1e-9
@@ -131,17 +131,10 @@ class FloquetHarmonics:
         return self.components[0]
 
 
-def _conjugate(m: np.ndarray, d: int) -> np.ndarray:
-    """C(M) = P conj(M) P, with P the transpose permutation of the row-major
-    vec: the superoperator of rho -> (M rho^dagger)^dagger."""
-    n = d * d
-    return m.reshape(d, d, d, d).transpose(1, 0, 3, 2).conj().reshape(n, n)
-
-
 def floquet_harmonics(
     l: np.ndarray | SecularGenerator,
-    l_plus: np.ndarray,
-    l_minus: np.ndarray,
+    l_plus: np.ndarray | Commutator,
+    l_minus: np.ndarray | Commutator,
     omega_d: float,
     order: int = 2,
 ) -> FloquetHarmonics:
@@ -149,20 +142,38 @@ def floquet_harmonics(
 
     ``l`` is the full Liouvillian (coherent part included). The chain is
     truncated at |k| = order with rho^{+/-(order+1)} = 0, and rho^0 has trace
-    one. ``_secular_harmonics`` solves it for a ``SecularGenerator``,
-    ``_folded_harmonics`` for a dense array. Either way the pairing
-    rho^{-k} = (rho^k)^dagger and the residual of every row are checked
-    against the given ``l``, ``l_plus`` and ``l_minus`` (NoConvergence), and
-    each pair is returned as the mean of rho^k and (rho^{-k})^dagger.
+    one. The stacked rho^k are found by one GMRES, right-preconditioned with
+    the undriven blocks A_k = L - i k w_d (``_undriven_inverse``), with the
+    last population row of A_0 replaced by the trace row; the drive skips that
+    row, as [X, rho] is traceless. The pairing rho^{-k} = (rho^k)^dagger and
+    the residual of every row are then checked against the given ``l``,
+    ``l_plus`` and ``l_minus`` (NoConvergence), and each pair is returned as
+    the mean of rho^k and (rho^{-k})^dagger.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if omega_d <= 0:
         raise ValueError(f"omega_d must be > 0, got {omega_d}")
-    if isinstance(l, SecularGenerator):
-        rho = _secular_harmonics(l, l_plus, l_minus, omega_d, order)
-    else:
-        rho = _folded_harmonics(l, l_plus, l_minus, omega_d, order)
+    ks = np.arange(-order, order + 1)
+    size = ks.size
+
+    def driven(v):  # the stacked system applied to the preconditioned v
+        v = v.reshape(size, -1)
+        x = undriven(v)
+        y = v.copy()
+        y[1:] += (l_plus @ x[:-1].T).T
+        y[:-1] += (l_minus @ x[1:].T).T
+        y[order, -1] = v[order, -1]
+        return y.reshape(-1)
+
+    try:
+        d, undriven = _undriven_inverse(l, -1j * omega_d * ks, order)
+        rhs = np.zeros((size, d * d), dtype=complex)
+        rhs[order, -1] = 1.0
+        rho = undriven(_gmres(driven, rhs.reshape(-1)).reshape(size, -1))
+    except np.linalg.LinAlgError as exc:
+        raise SingularHarmonicSolve(f"stacked harmonic system singular: {exc}") from exc
+    rho = rho.reshape(size, d, d)
     mirror = rho[::-1].conj().transpose(0, 2, 1)
     pairing = np.abs(rho - mirror).max()
     if not pairing <= HARMONIC_RESIDUAL_TOL:
@@ -170,11 +181,10 @@ def floquet_harmonics(
             f"harmonic pairing deviation {pairing:.3e} > {HARMONIC_RESIDUAL_TOL:.1e}"
         )
     rho = 0.5 * (rho + mirror)
-    ks = np.arange(-order, order + 1)
-    v = rho.reshape(ks.size, -1)
+    v = rho.reshape(size, -1)
     rows = (l @ v.T).T - 1j * omega_d * ks[:, None] * v
-    rows[1:] += v[:-1] @ l_plus.T
-    rows[:-1] += v[1:] @ l_minus.T
+    rows[1:] += (l_plus @ v[:-1].T).T
+    rows[:-1] += (l_minus @ v[1:].T).T
     for k, resid in zip(ks, np.linalg.norm(rows, axis=1)):
         if not resid <= HARMONIC_RESIDUAL_TOL:
             raise NoConvergence(
@@ -184,73 +194,35 @@ def floquet_harmonics(
                             components=dict(zip(ks.tolist(), rho)))
 
 
-def _folded_harmonics(l, l_plus, l_minus, omega_d, order) -> np.ndarray:
-    """The stacked rho^k, k = -order .. order: the k > 0 side eliminated into
-    rho^k = S_k rho^{k-1}, S_k = -(L - i k w_d + L- S_{k+1})^{-1} L+, and the
-    k < 0 side taken as its mirror, so the k = 0 row folds into L + M + C(M),
-    M = L- S_1, C(M) the superoperator of rho -> (M rho^dagger)^dagger. That
-    needs C(L) = L and l_minus = C(l_plus), as ``build_drive_superoperators``
-    gives them."""
+def _undriven_inverse(l: np.ndarray | SecularGenerator, shift: np.ndarray, order: int):
+    """d and the map v -> A^{-1} v on stacked rows v[k + order] = vec, for the
+    undriven blocks A_k = L + shift[k + order], the last population row of
+    A_0 replaced by the trace row. A ``SecularGenerator`` inverts each
+    coherence rate c_ab + shift and each d x d population block W + shift; a
+    dense L inverts its shifted d^2 x d^2 blocks. Raises LinAlgError on a
+    singular block."""
+    if isinstance(l, SecularGenerator):
+        d = l.rates.shape[0]
+        pops = slice(None, None, d + 1)
+        diag = l.coherence.reshape(-1) + shift[:, None]
+        diag[:, pops] = 1.0  # the populations go through their blocks
+        scale = 1.0 / diag
+        blocks = l.rates + shift[:, None, None] * np.eye(d)
+        blocks[order, -1] = 1.0
+        inverse = np.linalg.inv(blocks)
+
+        def apply(v):
+            x = scale * v
+            x[:, pops] = (inverse @ v[:, pops, None])[..., 0]
+            return x
+        return d, apply
     n = l.shape[0]
     d = int(round(n**0.5))
-    eye = np.eye(n, dtype=complex)
-    s_prop = {}  # rho^k = s_prop[k] rho^{k-1}, k = order .. 1
-    block = None
-    for k in range(order, 0, -1):
-        shifted = l - 1j * k * omega_d * eye
-        if block is not None:
-            shifted = shifted + l_minus @ block
-        try:
-            block = -np.linalg.solve(shifted, l_plus)
-        except np.linalg.LinAlgError as exc:
-            raise SingularHarmonicSolve(f"harmonic block k={k} singular: {exc}") from exc
-        s_prop[k] = block
-
-    m = l_minus @ s_prop[1]
-    rho = np.empty((2 * order + 1, n), dtype=complex)
-    rho[order] = steady_state(l + m + _conjugate(m, d)).reshape(-1)
-    for k in range(1, order + 1):
-        rho[order + k] = s_prop[k] @ rho[order + k - 1]
-    rho = rho.reshape(-1, d, d)
-    rho[:order] = rho[:order:-1].conj().transpose(0, 2, 1)
-    return rho
-
-
-def _secular_harmonics(l, l_plus, l_minus, omega_d, order) -> np.ndarray:
-    """The stacked rho^k of a ``SecularGenerator`` by one GMRES,
-    right-preconditioned with the undriven blocks L - i k w_d: coherence ab
-    takes c_ab - i k w_d, the populations W - i k w_d with the trace row last
-    at k = 0. The drive skips the trace row, as [X, rho] is traceless."""
-    d, size = l.rates.shape[0], 2 * order + 1
-    n, pops = d * d, slice(None, None, d + 1)
-    shift = -1j * omega_d * np.arange(-order, order + 1)
-    diag = l.coherence.reshape(-1) + shift[:, None]
-    diag[:, pops] = 1.0  # the populations go through their blocks
-    blocks = l.rates + shift[:, None, None] * np.eye(d)
-    blocks[order, -1] = 1.0
-
-    def blockwise(x, scale, mats):  # scale on coherences, mats on populations
-        y = scale * x
-        y[:, pops] = (mats @ x[:, pops, None])[..., 0]
-        return y
-
-    def driven(v):  # the stacked system applied to the preconditioned v
-        x = blockwise(v.reshape(size, n), 1.0 / diag, inverse)
-        y = blockwise(x, diag, blocks)
-        trace = y[order, -1]
-        y[1:] += x[:-1] @ l_plus.T
-        y[:-1] += x[1:] @ l_minus.T
-        y[order, -1] = trace
-        return y.reshape(-1)
-
-    rhs = np.zeros(size * n, dtype=complex)
-    rhs[order * n + n - 1] = 1.0
-    try:
-        inverse = np.linalg.inv(blocks)
-        v = _gmres(driven, rhs).reshape(size, n)
-    except np.linalg.LinAlgError as exc:
-        raise SingularHarmonicSolve(f"stacked harmonic system singular: {exc}") from exc
-    return blockwise(v, 1.0 / diag, inverse).reshape(size, d, d)
+    blocks = l + shift[:, None, None] * np.eye(n)
+    blocks[order, -1] = 0.0
+    blocks[order, -1, :: d + 1] = 1.0
+    inverse = np.linalg.inv(blocks)
+    return d, lambda v: (inverse @ v[..., None])[..., 0]
 
 
 def _gmres(apply, b: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from uscspec import cli, gme
 from uscspec.dressed import dressed_basis, frequency_components
 from uscspec.errors import DegenerateSteadyState, NoConvergence, UscSpecError
 from uscspec.gme import (
+    Commutator,
     GmeConfig,
     SecularGenerator,
     build_drive_superoperators,
@@ -161,10 +162,11 @@ def test_cli_spectra_never_build_the_dense_secular_generator(tmp_path, monkeypat
         return built[-1]
 
     def refuse(self):
-        raise AssertionError("a secular-layout point built its d^2 x d^2 generator")
+        raise AssertionError("a secular-layout point built a d^2 x d^2 superoperator")
 
     monkeypatch.setattr(gme, "_secular_generator", counted)
     monkeypatch.setattr(SecularGenerator, "matrix", property(refuse))
+    monkeypatch.setattr(Commutator, "matrix", property(refuse))
     config = tmp_path / "config.yaml"
     config.write_text(yaml.safe_dump(CONFIGS[mode]))
     argv = [mode, "--config", str(config), "--out", str(tmp_path / "out"), "--threads", "1"]
@@ -228,4 +230,4 @@ def test_non_finite_generators_raise_typed_errors():
     x = basis.to_dressed(build_output_operator(OutputKind.CAPACITIVE_C, params))
     l_plus, l_minus = build_drive_superoperators(x, 1e-3, 1e-2, 0.0, 1.0, 1, params.omega_r)
     with pytest.raises(UscSpecError):
-        floquet_harmonics(lm, l_plus * np.nan, l_minus, 1.0)
+        floquet_harmonics(lm, replace(l_plus, coefficient=np.nan), l_minus, 1.0)

@@ -227,8 +227,9 @@ class TestMainExitCodes:
             {"which": "qubit", "gamma": 5e-3, "temperature": -0.55},
         ]},
         {"drive": {"b_in": 1e-4, "floquet_order": 2.5}},
+        {"grid": {"start": 0.0, "stop": 1.0, "points": 3}},
     ], ids=["eta-sweep", "two-ports", "port-jump-kind", "negative-qubit-temperature",
-            "fractional-floquet-order"])
+            "fractional-floquet-order", "drive-frequency-at-zero"])
     def test_reflectivity_rules_hold_for_audit(self, tmp_path, command, overrides):
         path = _write(tmp_path, _reflectivity_config(**overrides))
         out = tmp_path / "out"

@@ -369,8 +369,8 @@ class TestDriveSuperoperators:
         lp, lmn = build_drive_superoperators(x, rate_gamma=1e-3, b_in=0.0,
                                              phase=0.0, omega_d=1.0,
                                              coupling_sign=+1)
-        assert np.abs(lp).max() == 0.0
-        assert np.abs(lmn).max() == 0.0
+        assert np.abs(lp.matrix).max() == 0.0
+        assert np.abs(lmn.matrix).max() == 0.0
 
     def test_harmonic_pair_adjoint_pairing(self):
         # (L+ rho)^dagger == L- (rho^dagger): the two sidebands together keep
@@ -394,22 +394,51 @@ class TestDriveSuperoperators:
                                              coupling_sign=+1)
         d = params.dim
         ident = np.eye(d).reshape(-1)
-        assert np.abs(ident @ lp).max() < 1e-14
-        assert np.abs(ident @ lmn).max() < 1e-14
+        assert np.abs(ident @ lp.matrix).max() < 1e-14
+        assert np.abs(ident @ lmn.matrix).max() < 1e-14
 
     def test_coupling_sign_flips_drive(self):
         _, x = self._x()
         kw = dict(rate_gamma=1e-3, b_in=0.05, phase=0.0, omega_d=0.9)
         lp_cap, _ = build_drive_superoperators(x, coupling_sign=+1, **kw)
         lp_ind, _ = build_drive_superoperators(x, coupling_sign=-1, **kw)
-        np.testing.assert_allclose(lp_cap, -lp_ind, atol=1e-16)
+        np.testing.assert_allclose(lp_cap.matrix, -lp_ind.matrix, atol=1e-16)
 
     def test_linear_in_amplitude(self):
         _, x = self._x()
         kw = dict(rate_gamma=1e-3, phase=0.2, omega_d=1.1, coupling_sign=+1)
         lp1, _ = build_drive_superoperators(x, b_in=0.01, **kw)
         lp3, _ = build_drive_superoperators(x, b_in=0.03, **kw)
-        np.testing.assert_allclose(lp3, 3.0 * lp1, atol=1e-15)
+        np.testing.assert_allclose(lp3.matrix, 3.0 * lp1.matrix, atol=1e-15)
+
+    def test_commutator_applies_its_matrix(self):
+        params, x = self._x()
+        lp, lmn = build_drive_superoperators(x, rate_gamma=1e-3, b_in=0.05,
+                                             phase=0.4, omega_d=0.9,
+                                             coupling_sign=-1)
+        rng = np.random.default_rng(5)
+        n = params.dim ** 2
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        stack = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        for op in (lp, lmn):
+            np.testing.assert_allclose(op @ v, op.matrix @ v, rtol=1e-13, atol=1e-16)
+            np.testing.assert_allclose(op @ stack, op.matrix @ stack, rtol=1e-13, atol=1e-16)
+            # a stack handed over as the transpose of its rows, as the Floquet solve does
+            np.testing.assert_allclose(op @ stack.T.copy().T, op.matrix @ stack,
+                                       rtol=1e-13, atol=1e-16)
+
+    def test_commutator_matrix_is_the_kron_form(self):
+        _, x = self._x()
+        d = x.shape[0]
+        eye = np.eye(d, dtype=complex)
+        for sign, phase in ((+1, 0.0), (-1, 0.7)):
+            lp, lmn = build_drive_superoperators(x, rate_gamma=1e-3, b_in=0.05,
+                                                 phase=phase, omega_d=0.9,
+                                                 coupling_sign=sign)
+            amp = 0.05 * np.sqrt(1e-3 * 0.9 / 1.0)
+            comm = np.kron(x, eye) - np.kron(eye, x.T)
+            np.testing.assert_array_equal(lp.matrix, sign * amp * np.exp(1j * phase) * comm)
+            np.testing.assert_array_equal(lmn.matrix, -sign * amp * np.exp(-1j * phase) * comm)
 
 
 class TestChannelOperator:

@@ -38,7 +38,7 @@ CONFIGS = {
 }
 SPANS = {
     "emission": {"gme.build_s", "steady.solve_s", "spectra.emission_s"},
-    "reflectivity": {"spectra.reflectivity_self_s", "steady.floquet_s"},
+    "reflectivity": {"spectra.reflectivity_self_s", "gme.drive_s", "steady.floquet_s"},
 }
 
 
