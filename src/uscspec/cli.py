@@ -6,7 +6,9 @@ eigen         transition table (and energy sweep) for the static Hamiltonian
 emission      incoherent power-spectrum maps over an eta or epsilon sweep
 reflectivity  |S11| maps over (drive frequency x flux offset)
 matelems      |<i|O|j>|^2 of selected output operators along a sweep
-audit         convergence re-run of a sampled subset at a larger cutoff
+audit         the sweep run again at n_fock + 10 (and Floquet order + 2) and
+              checked at every point, probe and grid frequency; it costs
+              one full run at each cutoff
 
 Every run writes a ``manifest.json`` recording the fully resolved
 configuration (including every default the code filled in), so identical
@@ -19,7 +21,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -70,6 +71,8 @@ THREAD_ENV_VAR = "USCSPEC_THREADS"
 SPECTRUM_MODES = ("emission", "reflectivity")
 ENERGY_AUDIT_TOL = 1e-7
 SPECTRUM_AUDIT_TOL = 1e-6
+# libyaml's parser where PyYAML was built with it; same constructor and resolver
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +330,7 @@ def parse_config(raw: dict) -> RunConfig:
 def load_config(name_or_path: str) -> RunConfig:
     """Load a YAML config from a path, or a bundled one by bare name."""
     path = Path(name_or_path)
-    if path.exists():
+    if path.is_file():
         text = path.read_text()
     else:
         ref = resources.files("uscspec").joinpath(f"configs/{name_or_path}.yaml")
@@ -337,7 +340,7 @@ def load_config(name_or_path: str) -> RunConfig:
             )
         text = ref.read_text()
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigInvalid(f"config is not valid YAML: {exc}") from exc
     return parse_config(raw)
@@ -358,15 +361,14 @@ def resolved_dict(config: RunConfig) -> dict:
 # deterministic output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, header: list[str], rows: list) -> None:
+    """Text as is and numbers as ``%.17g``, by one format per file that
+    takes its column types from the first row."""
+    first = next(iter(rows), ())
+    line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def write_manifest(out_dir: Path, config: RunConfig, extra: dict | None = None) -> None:
@@ -408,6 +410,8 @@ def _parallel_map(fn, items, threads: int) -> list:
     completion order so output files stay deterministic."""
     if threads == 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -455,7 +459,7 @@ def run_eigen(config: RunConfig, out_dir: Path, threads: int) -> None:
     energy_rows = []
     for value, basis in zip(values, bases):
         for idx, (energy, label) in enumerate(zip(basis.energies, basis.labels)):
-            energy_rows.append((value, _fmt(idx), label, energy))
+            energy_rows.append((value, idx, label, energy))
     write_csv(out_dir / "energies.csv",
               [sweep_col, "index", "label", "energy_over_omega_r"], energy_rows)
     write_manifest(out_dir, config)
@@ -474,25 +478,24 @@ def _point_failure(config: RunConfig, params: SystemParams, probe: OutputKind):
         raise SolverFailure(f"{where}: {exc}") from exc
 
 
-def _point_rows(config: RunConfig, params: SystemParams, probes: tuple,
-                grid: np.ndarray, method: str, extra_order: int = 0) -> list[np.ndarray]:
+def _point_rows(config: RunConfig, params: SystemParams, grid: np.ndarray,
+                method: str) -> list[np.ndarray]:
     """The row of each probe at one sweep point: the emission spectrum over
     the frequencies ``grid`` (by ``method``), or |S11| over the drive
-    frequencies ``grid`` (at Floquet order ``floquet_order + extra_order``).
-    Emission probes share one dressed basis; reflectivity probes that share
-    a port coupling share its Floquet solves."""
+    frequencies ``grid``. Emission probes share one dressed basis;
+    reflectivity probes that share a port coupling share its Floquet solves."""
     reflectivity = config.mode == "reflectivity"
     if reflectivity:
         qubit = next(b for b in config.baths if b.which == "qubit").resolve(params, None)
         port = next(b for b in config.baths if b.which == "resonator")
-        order = config.drive.floquet_order + extra_order
     rows, basis, solved = [], None, {}
-    for probe in probes:
+    for probe in config.probes:
         with _point_failure(config, params, probe):
             if reflectivity:
                 row = reflectivity_spectrum(
                     params, probe, grid, qubit, port.gamma, port.temperature,
-                    config.drive.b_in, config.drive.phase, config.gme, order, solved=solved,
+                    config.drive.b_in, config.drive.phase, config.gme,
+                    config.drive.floquet_order, solved=solved,
                 )
             else:
                 if basis is None:
@@ -507,36 +510,42 @@ def _point_rows(config: RunConfig, params: SystemParams, probes: tuple,
     return rows
 
 
+def _sweep_maps(config: RunConfig, threads: int) -> tuple[np.ndarray, str, list]:
+    """The grid, the emission method and, for every sweep point, the row of
+    each probe (see ``_point_rows``) of a spectrum-mode config."""
+    _, params_list = _sweep_params(config)
+    grid = config.grid.values()
+    method = config.emission_method
+    if method == "auto":
+        method = "eig" if grid.size >= 4 * len(params_list) else "solve"
+    maps = _parallel_map(lambda params: _point_rows(config, params, grid, method),
+                         params_list, threads)
+    return grid, method, maps
+
+
 def _emission_rows(config: RunConfig, values: np.ndarray, grid: np.ndarray,
-                   stack: np.ndarray) -> list[tuple]:
+                   stack: np.ndarray) -> list[list]:
     norm = Normalization(config.output.normalization)
     if norm == Normalization.MAX_OF_SET:
         ref = float(np.abs(stack).max())
     rows = []
-    for value, spec_values in zip(values, stack):
+    for value, s_raw in zip(values, stack):
         if norm == Normalization.PER_SPECTRUM:
-            ref = float(np.abs(spec_values).max())
+            ref = float(np.abs(s_raw).max())
         elif norm == Normalization.RAW_ARBITRARY:
             ref = 1.0
-        for omega, s_raw in zip(grid, spec_values):
-            s_norm = s_raw / ref if ref else s_raw
-            log_val = np.log10(max(s_norm, config.output.log_floor))
-            rows.append((value, omega, s_raw, s_norm, log_val))
+        s_norm = s_raw / ref if ref else s_raw
+        log_val = np.log10(np.maximum(s_norm, config.output.log_floor))
+        rows += np.column_stack(
+            [np.full(grid.size, value), grid, s_raw, s_norm, log_val]).tolist()
     return rows
 
 
 def run_spectra(config: RunConfig, out_dir: Path, threads: int) -> None:
     """Emission or reflectivity: every sweep point is evaluated before any
     CSV is written, so a failing point leaves no partial output."""
-    values, params_list = _sweep_params(config)
-    grid = config.grid.values()
-    method = config.emission_method
-    if method == "auto":
-        method = "eig" if grid.size >= 4 * len(params_list) else "solve"
-    maps = _parallel_map(
-        lambda params: _point_rows(config, params, config.probes, grid, method),
-        params_list, threads,
-    )
+    values = config.sweep.values()
+    grid, method, maps = _sweep_maps(config, threads)
     sweep_col = (f"{config.sweep.parameter}_over_omega_r"
                  if config.sweep.parameter != "none" else "point")
     for k, probe in enumerate(config.probes):
@@ -582,48 +591,37 @@ def run_matelems(config: RunConfig, out_dir: Path, threads: int) -> None:
 # convergence audit
 # ---------------------------------------------------------------------------
 
-def _audit_sample(values: np.ndarray, max_points: int = 3) -> list[int]:
-    if len(values) <= max_points:
-        return list(range(len(values)))
-    return sorted({0, len(values) // 2, len(values) - 1})
-
-
 def run_audit(config: RunConfig, out_dir: Path, threads: int) -> None:
-    """Re-run a sampled subset of sweep points at n_fock + 10 (and, for
-    reflectivity, Floquet order + 2) and report the largest deviations."""
+    """Run the config again at n_fock + 10 (and, for reflectivity, Floquet
+    order + 2) and check every sweep point: its low energies and, in the
+    spectrum modes, every probe's row over the whole grid."""
+    bigger = replace(config, system=replace(config.system, n_fock=config.system.n_fock + 10))
+    if config.mode == "reflectivity":
+        bigger = replace(bigger, drive=replace(config.drive,
+                                               floquet_order=config.drive.floquet_order + 2))
     values, params_list = _sweep_params(config)
-    sample = _audit_sample(values)
     checks = []
-    if config.mode in SPECTRUM_MODES:
-        grid = config.grid.values()
-        if config.mode == "reflectivity":
-            grid = grid[_audit_sample(grid)]  # Floquet solves are dear; sample w_d too
-
-    for idx in sample:
-        params = params_list[idx]
-        bigger = replace(params, n_fock=params.n_fock + 10)
+    for value, params, big in zip(values, params_list, _sweep_params(bigger)[1]):
         e_small = dressed_basis(params).energies
-        e_big = dressed_basis(bigger).energies[: len(e_small)]
+        e_big = dressed_basis(big).energies[: len(e_small)]
         # compare the lowest quarter of the spectrum; higher rungs of a
         # truncated Fock ladder are never converged and carry no population
         keep = max(2, len(e_small) // 4)
         energy_dev = float(np.abs(e_small[:keep] - e_big[:keep]).max())
-        check = {
-            "sweep_value": float(values[idx]),
+        checks.append({
+            "sweep_value": float(value),
             "n_fock": params.n_fock,
             "energy_dev": energy_dev,
             "energy_ok": bool(energy_dev <= ENERGY_AUDIT_TOL),
-        }
+        })
 
-        if config.mode in SPECTRUM_MODES:
-            probes = config.probes[:1]
-            s_small, = _point_rows(config, params, probes, grid, "solve")
-            s_big, = _point_rows(config, bigger, probes, grid, "solve", extra_order=2)
-            rel = float(np.abs(s_small - s_big).max() / np.abs(s_small).max())
+    if config.mode in SPECTRUM_MODES:
+        maps = [_sweep_maps(c, threads)[2] for c in (config, bigger)]
+        for check, small, big in zip(checks, *maps):
+            rel = max(float(np.abs(s - b).max() / np.abs(s).max())
+                      for s, b in zip(small, big))
             check["spectrum_rel_dev"] = rel
             check["spectrum_ok"] = bool(rel <= SPECTRUM_AUDIT_TOL)
-
-        checks.append(check)
 
     ok = all(c["energy_ok"] and c.get("spectrum_ok", True) for c in checks)
     report = {

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigInvalid, match="no bundled config"):
             load_config("fig99")
 
+    def test_directory_named_like_a_bundled_config(self, tmp_path, monkeypatch):
+        # --out fig5 makes ./fig5 before the config is read
+        monkeypatch.chdir(tmp_path)
+        assert main(["eigen", "--config", "fig5", "--out", "fig5"]) == 0
+        assert (tmp_path / "fig5" / "energies.csv").is_file()
+
+    def test_libyaml_and_python_loaders_parse_alike(self):
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML built without libyaml")
+        assert uscspec.cli.YAML_LOADER is yaml.CSafeLoader
+        configs = resources.files("uscspec").joinpath("configs")
+        texts = [configs.joinpath(f"{name}.yaml").read_text()
+                 for name in ("fig2", "fig5", "fig6")] + [_readme_schema()]
+        for text in texts:
+            raw = yaml.load(text, Loader=yaml.SafeLoader)
+            assert yaml.load(text, Loader=yaml.CSafeLoader) == raw
+            parse_config(raw)
+
     def test_defaults_recorded(self):
         cfg = parse_config(_emission_config())
         assert cfg.gme.filter_b == 0.0
@@ -137,6 +156,15 @@ class TestMainExitCodes:
         out.mkdir()
         path = _write(tmp_path, _emission_config(bogus=1))
         assert main(["emission", "--config", path, "--out", str(out)]) == 2
+
+    def test_malformed_yaml_exits_2(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text("mode: emission\nsystem: {delta: 1.0\n")
+        out = tmp_path / "out"
+        assert main(["emission", "--config", str(path), "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "ConfigInvalid"
+        assert err["error"].startswith("config is not valid YAML")
 
     def test_mode_mismatch_exits_2(self, tmp_path):
         path = _write(tmp_path, _emission_config())
@@ -369,11 +397,74 @@ class TestAuditRun:
         report = json.loads((out / "audit.json").read_text())
         assert report["result"] == "FAIL"
 
+    def test_audit_checks_every_sweep_point(self, tmp_path, monkeypatch):
+        # the larger cutoff is perturbed at sweep index 1 only
+        probe = uscspec.cli.emission_probe
+        values = np.linspace(0.2, 0.6, 5)
+
+        def perturbed(params, kind, basis):
+            x_dot = probe(params, kind, basis)
+            return x_dot * 1.001 if (params.n_fock, params.eta) == (22, values[1]) else x_dot
+
+        monkeypatch.setattr(uscspec.cli, "emission_probe", perturbed)
+        cfg = _emission_config(sweep={"parameter": "eta", "start": 0.2, "stop": 0.6,
+                                      "points": 5})
+        cfg["system"]["n_fock"] = 12
+        cfg["grid"]["points"] = 5
+        out = tmp_path / "out"
+        assert main(["audit", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "audit.json").read_text())
+        assert report["result"] == "FAIL"
+        assert [c["sweep_value"] for c in report["checks"]] == values.tolist()
+        failed = [c for c in report["checks"] if not c["spectrum_ok"]]
+        assert [c["sweep_value"] for c in failed] == [values[1]]
+        assert all(c["energy_ok"] for c in report["checks"])
+
+    def test_reflectivity_audit_solves_every_probe_on_the_full_grid(self, tmp_path,
+                                                                    monkeypatch):
+        calls = []
+        spectrum = uscspec.cli.reflectivity_spectrum
+
+        def recorded(params, probe, omega_d_grid, *args, **kwargs):
+            calls.append((params.n_fock, params.epsilon, probe, tuple(omega_d_grid), args[-1]))
+            return spectrum(params, probe, omega_d_grid, *args, **kwargs)
+
+        monkeypatch.setattr(uscspec.cli, "reflectivity_spectrum", recorded)
+        cfg = _reflectivity_config(grid={"start": 0.9, "stop": 1.0, "points": 5})
+        out = tmp_path / "out"
+        assert main(["audit", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        grid = tuple(np.linspace(0.9, 1.0, 5))
+        assert sorted(calls) == sorted(
+            (n_fock, eps, probe, grid, order)
+            for n_fock, order in ((4, 2), (14, 4)) for eps in (0.0, 0.3)
+            for probe in (OutputKind.INDUCTIVE_M, OutputKind.QUADRATURE))
+        assert len(json.loads((out / "audit.json").read_text())["checks"]) == 2
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("emission", _emission_config(probes=["X_C", "X_M"])),
+    ("reflectivity", _reflectivity_config()),
+    ("audit", _reflectivity_config()),
+], ids=["emission", "reflectivity", "audit"])
+def test_thread_pool_writes_the_same_bytes(tmp_path, command, cfg):
+    path = _write(tmp_path, cfg)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert main([command, "--config", path, "--out", str(out), "--threads", threads]) == 0
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+    assert "manifest.json" in outputs[0]
+    assert ("audit.json" if command == "audit" else f"{command}_X_M.csv") in outputs[0]
+
+
+def _readme_schema() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("### Config schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+
 
 def test_readme_config_schema_parses_and_names_every_key():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    schema = readme.split("### Config schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
-    raw = yaml.safe_load(schema)
+    raw = yaml.safe_load(_readme_schema())
     parse_config(raw)
 
     def names(cls):
@@ -395,6 +486,17 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, uscspec.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # only a run with more than one thread needs the pool
+    src = str(Path(uscspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, uscspec.cli; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
