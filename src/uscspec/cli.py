@@ -21,6 +21,7 @@ import dataclasses
 import json
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -71,8 +72,6 @@ THREAD_ENV_VAR = "USCSPEC_THREADS"
 SPECTRUM_MODES = ("emission", "reflectivity")
 ENERGY_AUDIT_TOL = 1e-7
 SPECTRUM_AUDIT_TOL = 1e-6
-# libyaml's parser where PyYAML was built with it; same constructor and resolver
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +329,7 @@ def parse_config(raw: dict) -> RunConfig:
 def load_config(name_or_path: str) -> RunConfig:
     """Load a YAML config from a path, or a bundled one by bare name."""
     path = Path(name_or_path)
-    if path.is_file():
+    if path.exists() and not path.is_dir():
         text = path.read_text()
     else:
         ref = resources.files("uscspec").joinpath(f"configs/{name_or_path}.yaml")
@@ -340,7 +339,7 @@ def load_config(name_or_path: str) -> RunConfig:
             )
         text = ref.read_text()
     try:
-        raw = yaml.load(text, Loader=YAML_LOADER)
+        raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigInvalid(f"config is not valid YAML: {exc}") from exc
     return parse_config(raw)
@@ -361,14 +360,15 @@ def resolved_dict(config: RunConfig) -> dict:
 # deterministic output helpers
 # ---------------------------------------------------------------------------
 
-def write_csv(path: Path, header: list[str], rows: list) -> None:
-    """Text as is and numbers as ``%.17g``, by one format per file that
-    takes its column types from the first row."""
-    first = next(iter(rows), ())
-    line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first) + "\n"
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % tuple(row) for row in rows)
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
 
 
 def write_manifest(out_dir: Path, config: RunConfig, extra: dict | None = None) -> None:
@@ -410,8 +410,6 @@ def _parallel_map(fn, items, threads: int) -> list:
     completion order so output files stay deterministic."""
     if threads == 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -459,7 +457,7 @@ def run_eigen(config: RunConfig, out_dir: Path, threads: int) -> None:
     energy_rows = []
     for value, basis in zip(values, bases):
         for idx, (energy, label) in enumerate(zip(basis.energies, basis.labels)):
-            energy_rows.append((value, idx, label, energy))
+            energy_rows.append((value, _fmt(idx), label, energy))
     write_csv(out_dir / "energies.csv",
               [sweep_col, "index", "label", "energy_over_omega_r"], energy_rows)
     write_manifest(out_dir, config)
@@ -599,27 +597,28 @@ def run_audit(config: RunConfig, out_dir: Path, threads: int) -> None:
     if config.mode == "reflectivity":
         bigger = replace(bigger, drive=replace(config.drive,
                                                floquet_order=config.drive.floquet_order + 2))
-    values, params_list = _sweep_params(config)
-    checks = []
-    for value, params, big in zip(values, params_list, _sweep_params(bigger)[1]):
-        e_small = dressed_basis(params).energies
-        e_big = dressed_basis(big).energies[: len(e_small)]
+
+    def energy_dev(pair) -> float:
+        e_small = dressed_basis(pair[0]).energies
+        e_big = dressed_basis(pair[1]).energies[: len(e_small)]
         # compare the lowest quarter of the spectrum; higher rungs of a
         # truncated Fock ladder are never converged and carry no population
         keep = max(2, len(e_small) // 4)
-        energy_dev = float(np.abs(e_small[:keep] - e_big[:keep]).max())
-        checks.append({
-            "sweep_value": float(value),
-            "n_fock": params.n_fock,
-            "energy_dev": energy_dev,
-            "energy_ok": bool(energy_dev <= ENERGY_AUDIT_TOL),
-        })
+        return float(np.abs(e_small[:keep] - e_big[:keep]).max())
+
+    values, params_list = _sweep_params(config)
+    pairs = list(zip(params_list, _sweep_params(bigger)[1]))
+    checks = [{"sweep_value": float(value), "n_fock": params.n_fock,
+               "energy_dev": dev, "energy_ok": bool(dev <= ENERGY_AUDIT_TOL)}
+              for value, (params, _), dev in
+              zip(values, pairs, _parallel_map(energy_dev, pairs, threads))]
 
     if config.mode in SPECTRUM_MODES:
         maps = [_sweep_maps(c, threads)[2] for c in (config, bigger)]
         for check, small, big in zip(checks, *maps):
-            rel = max(float(np.abs(s - b).max() / np.abs(s).max())
-                      for s, b in zip(small, big))
+            # np.max, not max: a NaN deviation on any probe must FAIL
+            rel = float(np.max([np.abs(s - b).max() / np.abs(s).max()
+                                for s, b in zip(small, big)]))
             check["spectrum_rel_dev"] = rel
             check["spectrum_ok"] = bool(rel <= SPECTRUM_AUDIT_TOL)
 

@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from importlib import resources
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -109,17 +109,20 @@ class TestConfigParsing:
         assert main(["eigen", "--config", "fig5", "--out", "fig5"]) == 0
         assert (tmp_path / "fig5" / "energies.csv").is_file()
 
-    def test_libyaml_and_python_loaders_parse_alike(self):
-        if not hasattr(yaml, "CSafeLoader"):
-            pytest.skip("PyYAML built without libyaml")
-        assert uscspec.cli.YAML_LOADER is yaml.CSafeLoader
-        configs = resources.files("uscspec").joinpath("configs")
-        texts = [configs.joinpath(f"{name}.yaml").read_text()
-                 for name in ("fig2", "fig5", "fig6")] + [_readme_schema()]
-        for text in texts:
-            raw = yaml.load(text, Loader=yaml.SafeLoader)
-            assert yaml.load(text, Loader=yaml.CSafeLoader) == raw
-            parse_config(raw)
+    def test_config_read_from_a_pipe(self, tmp_path):
+        # --config <(...) and --config /dev/stdin name pipes, not regular files
+        fifo = tmp_path / "config.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text,
+                                  args=(yaml.safe_dump(_emission_config()),))
+        writer.start()
+        try:
+            cfg = load_config(str(fifo))
+        finally:
+            if writer.is_alive():  # not read: drain the pipe so the writer ends
+                fifo.read_text()
+            writer.join()
+        assert cfg == parse_config(_emission_config())
 
     def test_defaults_recorded(self):
         cfg = parse_config(_emission_config())
@@ -420,6 +423,25 @@ class TestAuditRun:
         assert [c["sweep_value"] for c in failed] == [values[1]]
         assert all(c["energy_ok"] for c in report["checks"])
 
+    def test_nan_deviation_on_a_later_probe_fails(self, tmp_path, monkeypatch):
+        point_rows = uscspec.cli._point_rows
+
+        def nan_second_probe(config, params, grid, method):
+            rows = point_rows(config, params, grid, method)
+            if config.system.n_fock == 22:
+                rows[1] = np.full_like(rows[1], np.nan)
+            return rows
+
+        monkeypatch.setattr(uscspec.cli, "_point_rows", nan_second_probe)
+        cfg = _emission_config(probes=["X_C", "X_M"])
+        cfg["system"]["n_fock"] = 12
+        cfg["grid"]["points"] = 5
+        out = tmp_path / "out"
+        assert main(["audit", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "audit.json").read_text())
+        assert report["result"] == "FAIL"
+        assert not any(c["spectrum_ok"] for c in report["checks"])
+
     def test_reflectivity_audit_solves_every_probe_on_the_full_grid(self, tmp_path,
                                                                     monkeypatch):
         calls = []
@@ -458,13 +480,10 @@ def test_thread_pool_writes_the_same_bytes(tmp_path, command, cfg):
     assert ("audit.json" if command == "audit" else f"{command}_X_M.csv") in outputs[0]
 
 
-def _readme_schema() -> str:
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return readme.split("### Config schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
-
-
 def test_readme_config_schema_parses_and_names_every_key():
-    raw = yaml.safe_load(_readme_schema())
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schema = readme.split("### Config schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    raw = yaml.safe_load(schema)
     parse_config(raw)
 
     def names(cls):
@@ -486,17 +505,6 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, uscspec.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
-
-
-def test_cli_import_leaves_concurrent_futures_unloaded():
-    # only a run with more than one thread needs the pool
-    src = str(Path(uscspec.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, uscspec.cli; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
