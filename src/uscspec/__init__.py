@@ -2,6 +2,13 @@
 coupling strength: static model, dressed basis, generalized master equation,
 Floquet steady states, and spectral observables."""
 
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    # d <= 48 in the bundled configs, where OpenBLAS's second thread only spins; use --threads
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .model import (
     ModelKind,
     OutputKind,

@@ -125,9 +125,15 @@ def reflectivity_point(
     steady-state approximation Xdot+ ~ -i w_d X+, so the probe enters without
     a derivative factor.
     """
+    return _s11(harmonics[-1], x_probe_plus, gamma_port, b_in, omega_d,
+                coupling_sign, omega_r)
+
+
+def _s11(rho_minus1, x_probe_plus, gamma_port, b_in, omega_d, coupling_sign, omega_r):
+    """``reflectivity_point`` from rho^{-1} alone, the one harmonic it reads."""
     if b_in == 0:
         raise ZeroDrive("reflectivity undefined at zero drive amplitude")
-    tr = np.trace(x_probe_plus @ harmonics[-1])
+    tr = np.trace(x_probe_plus @ rho_minus1)
     amp = math.sqrt(2.0 * math.pi) / abs(b_in) * math.sqrt(omega_d * gamma_port / omega_r)
     return float(abs(1.0 + coupling_sign * amp * tr))
 
@@ -156,10 +162,11 @@ def reflectivity_spectrum(
     implied by the probe (X_C for the capacitive probe, X_M otherwise).
 
     ``solved`` is an optional dict, created by the caller, that keeps the
-    dressed basis and Floquet harmonics of each call under everything they
-    depend on, which is every argument but the probe. Probes that share a port
-    coupling (X_M and a + a^dag) then share one GME assembly and one Floquet
-    solve per drive frequency.
+    dressed basis and the rho^{-1} of each drive frequency (the one Floquet
+    harmonic S11 reads) under everything they depend on, which is every
+    argument but the probe. Probes that share a port coupling (X_M and
+    a + a^dag) then share one GME assembly and one Floquet solve per drive
+    frequency.
     """
     coupling, sign = PROBE_COUPLING[probe]
     config = config or GmeConfig()
@@ -176,19 +183,20 @@ def reflectivity_spectrum(
         lg = build_gme(basis, channels, config, params)
         l_total = total_liouvillian(basis, lg)
         x_drive = basis.to_dressed(build_output_operator(coupling, params))
-        harmonics = []
+        rho_minus1 = []
         for omega_d in omega_d_grid:
             lp, lmn = build_drive_superoperators(
                 x_drive, gamma_port, b_in, phase, omega_d, sign, params.omega_r
             )
-            harmonics.append(floquet_harmonics(l_total, lp, lmn, omega_d, order=order))
-        solved[key] = basis, harmonics
-    basis, harmonics = solved[key]
+            harmonics = floquet_harmonics(l_total, lp, lmn, omega_d, order=order)
+            rho_minus1.append(harmonics[-1].copy())  # a view would keep every harmonic
+        solved[key] = basis, rho_minus1
+    basis, rho_minus1 = solved[key]
     x_probe = basis.to_dressed(build_output_operator(probe, params))
     x_probe_plus = frequency_components(x_probe, "plus")
     return np.array([
-        reflectivity_point(harm, x_probe_plus, gamma_port, b_in, omega_d, sign, params.omega_r)
-        for harm, omega_d in zip(harmonics, omega_d_grid)
+        _s11(rho, x_probe_plus, gamma_port, b_in, omega_d, sign, params.omega_r)
+        for rho, omega_d in zip(rho_minus1, omega_d_grid)
     ])
 
 

@@ -199,8 +199,8 @@ def _undriven_inverse(l: np.ndarray | SecularGenerator, shift: np.ndarray, order
     undriven blocks A_k = L + shift[k + order], the last population row of
     A_0 replaced by the trace row. A ``SecularGenerator`` inverts each
     coherence rate c_ab + shift and each d x d population block W + shift; a
-    dense L inverts its shifted d^2 x d^2 blocks. Raises LinAlgError on a
-    singular block."""
+    dense L factors each shifted d^2 x d^2 block once by LU. Raises
+    LinAlgError on a singular block."""
     if isinstance(l, SecularGenerator):
         d = l.rates.shape[0]
         pops = slice(None, None, d + 1)
@@ -221,8 +221,17 @@ def _undriven_inverse(l: np.ndarray | SecularGenerator, shift: np.ndarray, order
     blocks = l + shift[:, None, None] * np.eye(n)
     blocks[order, -1] = 0.0
     blocks[order, -1, :: d + 1] = 1.0
-    inverse = np.linalg.inv(blocks)
-    return d, lambda v: (inverse @ v[..., None])[..., 0]
+    from scipy.linalg import get_lapack_funcs  # here, so that importing the CLI loads no scipy
+
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (blocks,))
+    factors = []
+    for block in blocks:
+        lu, piv, info = getrf(block)
+        if info > 0:  # U[info - 1, info - 1] is exactly zero
+            raise np.linalg.LinAlgError("singular undriven block")
+        factors.append((lu, piv))
+    return d, lambda v: np.array([getrs(lu, piv, row)[0]
+                                  for (lu, piv), row in zip(factors, v)])
 
 
 def _gmres(apply, b: np.ndarray) -> np.ndarray:

@@ -520,3 +520,21 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_import_defaults_to_one_blas_thread():
+    # a preset value wins, and a process that loaded numpy first is left alone
+    src = str(Path(uscspec.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    report = ("import os; print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+              "len(os.listdir('/proc/self/task')))")
+
+    def run(code, **extra):
+        return subprocess.run([sys.executable, "-c", code], env=dict(env, **extra),
+                              check=True, capture_output=True, text=True).stdout.split()
+
+    assert run("import uscspec.cli; " + report) == ["1", "1"]
+    assert run("import uscspec.cli; " + report, OPENBLAS_NUM_THREADS="2")[0] == "2"
+    assert run("import numpy, uscspec.cli; " + report)[0] == "None"
