@@ -39,23 +39,19 @@ from .gme import (
     SecularGenerator,
     build_drive_superoperators,
     build_gme,
-    dephasing_superoperator,
     qubit_channel,
     resonator_channel,
     total_liouvillian,
 )
 from .steady import (
-    FloquetHarmonics,
     floquet_harmonics,
     steady_state,
 )
 from .spectra import (
     Normalization,
-    SpectrumSeries,
     emission_probe,
     emission_spectrum,
     matrix_element_report,
-    reflectivity_point,
     reflectivity_spectrum,
 )
 from .errors import UscSpecError
@@ -67,14 +63,12 @@ __all__ = [
     "ChannelKind",
     "Commutator",
     "DressedBasis",
-    "FloquetHarmonics",
     "GmeConfig",
     "ModelKind",
     "Normalization",
     "OutputKind",
     "QubitFrame",
     "SecularGenerator",
-    "SpectrumSeries",
     "SystemParams",
     "UscSpecError",
     "build_drive_superoperators",
@@ -82,7 +76,6 @@ __all__ = [
     "build_output_operator",
     "build_static_hamiltonian",
     "build_transition_table",
-    "dephasing_superoperator",
     "diagonalize",
     "dressed_basis",
     "emission_probe",
@@ -97,7 +90,6 @@ __all__ = [
     "plain_labels",
     "qubit_channel",
     "qubit_frequency",
-    "reflectivity_point",
     "reflectivity_spectrum",
     "resonator_channel",
     "sigma_tilde_x",

@@ -21,7 +21,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -382,7 +381,7 @@ def write_manifest(out_dir: Path, config: RunConfig, extra: dict | None = None) 
 
 def write_error(out_dir: Path | None, exc: Exception) -> None:
     report = {"error": str(exc), "type": type(exc).__name__}
-    if out_dir is not None and out_dir.exists():
+    if out_dir is not None and out_dir.is_dir():
         with open(out_dir / "error.json", "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -405,13 +404,25 @@ def resolve_threads(cli_value: int | None) -> int:
     return n
 
 
+_POOLED = None  # the callable of the running _parallel_map, inherited by its forks
+
+
+def _call_pooled(item):
+    return _POOLED(item)
+
+
 def _parallel_map(fn, items, threads: int) -> list:
-    """Map preserving input order; results merged by index regardless of
-    completion order so output files stay deterministic."""
+    """[fn(item) for item in items], on min(threads, len(items)) forked
+    processes when threads > 1. Results keep the input order, and the first
+    failing item in that order raises, so outputs do not depend on timing."""
     if threads == 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    import multiprocessing  # here, so that importing the CLI loads no multiprocessing
+
+    global _POOLED
+    _POOLED = fn
+    with multiprocessing.get_context("fork").Pool(min(threads, len(items))) as pool:
+        return list(pool.imap(_call_pooled, items))
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +456,11 @@ def run_eigen(config: RunConfig, out_dir: Path, threads: int) -> None:
     bases = _labeled_bases(config, params_list)
     sweep_col = config.sweep.parameter if config.sweep.parameter != "none" else "point"
 
-    rows = []
-    for value, basis in zip(values, bases):
-        table = build_transition_table(basis)
-        for i, j, omega in zip(table.i, table.j, table.omega):
-            rows.append((value, int(i), int(j), basis.labels[i], basis.labels[j], omega))
+    rows = [(value, str(i), str(j), li, lj, w)
+            for value, basis in zip(values, bases)
+            for i, j, li, lj, w in build_transition_table(basis).rows(basis)]
     write_csv(out_dir / "transitions.csv",
-              [sweep_col, "i", "j", "label_i", "label_j", "omega_ji"],
-              [(v, str(i), str(j), li, lj, w) for v, i, j, li, lj, w in rows])
+              [sweep_col, "i", "j", "label_i", "label_j", "omega_ji"], rows)
 
     energy_rows = []
     for value, basis in zip(values, bases):
@@ -503,7 +511,7 @@ def _point_rows(config: RunConfig, params: SystemParams, grid: np.ndarray,
                 l_total = total_liouvillian(basis, lg)
                 rho = steady_state(l_total)
                 x_dot = emission_probe(params, probe, basis)
-                row = emission_spectrum(l_total, rho, x_dot, grid, method=method).values
+                row = emission_spectrum(l_total, rho, x_dot, grid, method=method)
         rows.append(row)
     return rows
 
@@ -660,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="YAML config path or bundled name (fig2, fig5, fig6)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (default: {THREAD_ENV_VAR} or 1)")
+                       help=f"worker processes for the sweep (default: {THREAD_ENV_VAR} or 1)")
     return parser
 
 
@@ -668,7 +676,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigInvalid(f"--out {args.out!r} is not a usable directory: {exc}") from exc
         config = load_config(args.config)
         threads = resolve_threads(args.threads)
         if args.command != "audit" and config.mode != args.command:

@@ -120,12 +120,10 @@ class TransitionTable:
     def __len__(self) -> int:
         return self.omega.size
 
-    def rows(self, basis: DressedBasis | None = None):
-        for k in range(len(self)):
-            i, j = int(self.i[k]), int(self.j[k])
-            li = basis.labels[i] if basis is not None and basis.labels else str(i)
-            lj = basis.labels[j] if basis is not None and basis.labels else str(j)
-            yield i, j, li, lj, float(self.omega[k])
+    def rows(self, basis: DressedBasis):
+        """(i, j, label_i, label_j, omega_ji) of each transition of the labeled ``basis``."""
+        for i, j, omega in zip(self.i.tolist(), self.j.tolist(), self.omega.tolist()):
+            yield i, j, basis.labels[i], basis.labels[j], omega
 
 
 def build_transition_table(basis: DressedBasis) -> TransitionTable:

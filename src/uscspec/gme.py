@@ -352,17 +352,6 @@ def _dephasing(x_dressed: np.ndarray, channel: BathChannel, config: GmeConfig) -
     return _dephasing_rate(channel, config) * dissipator(np.diag(np.diag(x_dressed)))
 
 
-def dephasing_superoperator(
-    basis: DressedBasis,
-    channel: BathChannel,
-    params: SystemParams,
-    config: GmeConfig | None = None,
-) -> np.ndarray:
-    """Just the pure-dephasing part of a qubit channel (diagnostics and tests)."""
-    x = basis.to_dressed(channel_operator(channel, params))
-    return _dephasing(x, channel, config or GmeConfig())
-
-
 def total_liouvillian(
     basis: DressedBasis, lg: np.ndarray | SecularGenerator
 ) -> np.ndarray | SecularGenerator:

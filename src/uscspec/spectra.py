@@ -27,7 +27,7 @@ from .model import (
     build_static_hamiltonian,
     heisenberg_derivative,
 )
-from .steady import FloquetHarmonics, floquet_harmonics
+from .steady import floquet_harmonics
 
 
 class Normalization(str, Enum):
@@ -36,32 +36,17 @@ class Normalization(str, Enum):
     PER_SPECTRUM = "per_spectrum"
 
 
-@dataclass(frozen=True)
-class SpectrumSeries:
-    """A sampled power spectrum in arbitrary units.
-
-    ``values`` are Re[...] of the regression integral; small negative values at
-    the numerical noise floor are tolerated.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.diff(self.grid) > 0):
-            raise ValueError("frequency grid must be strictly increasing")
-
-
 def emission_spectrum(
     l: np.ndarray | SecularGenerator,
     rho_ss: np.ndarray,
     x_dot: np.ndarray,
     grid: np.ndarray,
     method: str = "solve",
-) -> SpectrumSeries:
+) -> np.ndarray:
     """Steady-state power spectrum via the quantum regression theorem.
 
-    Evaluates S(w) = Re Tr[Xdot^(-) (i w - L)^{-1} (Xdot^(+) rho_ss)].
+    Evaluates S(w) = Re Tr[Xdot^(-) (i w - L)^{-1} (Xdot^(+) rho_ss)] on the strictly
+    increasing ``grid``, in arbitrary units (noise-floor values may be negative).
     ``x_dot`` must already be expressed in the dressed basis of ``l`` so the
     triangular frequency split applies.
 
@@ -74,6 +59,8 @@ def emission_spectrum(
     pole sum, which wins for long grids.
     """
     grid = np.asarray(grid, dtype=float)
+    if not np.all(np.diff(grid) > 0):
+        raise ValueError("frequency grid must be strictly increasing")
     if method not in ("eig", "solve"):
         raise ValueError(f"unknown method {method!r}")
     b = (frequency_components(x_dot, "plus") @ rho_ss).reshape(-1)
@@ -95,11 +82,10 @@ def emission_spectrum(
                 values[idx] = np.real(probe @ np.linalg.solve(1j * omega * eye - l, b))
             except np.linalg.LinAlgError as exc:
                 raise ResolventSingular(f"resolvent singular at omega={omega}: {exc}") from exc
-        return SpectrumSeries(grid=grid, values=values)
-    values = np.array([
+        return values
+    return np.array([
         float(np.real(np.sum(weights / (1j * omega - evals)))) for omega in grid
     ])
-    return SpectrumSeries(grid=grid, values=values)
 
 
 def emission_probe(params: SystemParams, kind: OutputKind, basis: DressedBasis) -> np.ndarray:
@@ -109,28 +95,10 @@ def emission_probe(params: SystemParams, kind: OutputKind, basis: DressedBasis) 
     return basis.to_dressed(heisenberg_derivative(x, h))
 
 
-def reflectivity_point(
-    harmonics: FloquetHarmonics,
-    x_probe_plus: np.ndarray,
-    gamma_port: float,
-    b_in: float,
-    omega_d: float,
-    coupling_sign: int,
-    omega_r: float = 1.0,
-) -> float:
-    """|1 -/+ (sqrt(2 pi) / |b_in|) sqrt(w_d gamma / w_r) Tr[X+ rho^{-1}]|.
-
-    The minus sign applies to the mutual inductive coupling
-    (``coupling_sign = -1``), the plus sign to the capacitive one. Uses the
-    steady-state approximation Xdot+ ~ -i w_d X+, so the probe enters without
-    a derivative factor.
-    """
-    return _s11(harmonics[-1], x_probe_plus, gamma_port, b_in, omega_d,
-                coupling_sign, omega_r)
-
-
 def _s11(rho_minus1, x_probe_plus, gamma_port, b_in, omega_d, coupling_sign, omega_r):
-    """``reflectivity_point`` from rho^{-1} alone, the one harmonic it reads."""
+    """|S11| = |1 -/+ (sqrt(2 pi) / |b_in|) sqrt(w_d gamma / w_r) Tr[X+ rho^{-1}]|,
+    minus for the mutual inductive coupling (``coupling_sign = -1``). Under the
+    steady-state approximation Xdot+ ~ -i w_d X+ the probe needs no derivative."""
     if b_in == 0:
         raise ZeroDrive("reflectivity undefined at zero drive amplitude")
     tr = np.trace(x_probe_plus @ rho_minus1)

@@ -3,8 +3,6 @@ generalized master equation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import (
@@ -114,30 +112,13 @@ def steady_state(l: np.ndarray | SecularGenerator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-@dataclass(frozen=True)
-class FloquetHarmonics:
-    """Fourier components rho^k of the time-periodic steady state."""
-
-    order: int
-    omega_d: float
-    components: dict = field(default_factory=dict)
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        d = self.components[0].shape[0]
-        return self.components.get(k, np.zeros((d, d), dtype=complex))
-
-    @property
-    def rho0(self) -> np.ndarray:
-        return self.components[0]
-
-
 def floquet_harmonics(
     l: np.ndarray | SecularGenerator,
     l_plus: np.ndarray | Commutator,
     l_minus: np.ndarray | Commutator,
     omega_d: float,
     order: int = 2,
-) -> FloquetHarmonics:
+) -> dict[int, np.ndarray]:
     """Solve the harmonic recursion (L - i k w_d) rho^k + L+ rho^{k-1} + L- rho^{k+1} = 0.
 
     ``l`` is the full Liouvillian (coherent part included). The chain is
@@ -148,7 +129,7 @@ def floquet_harmonics(
     row, as [X, rho] is traceless. The pairing rho^{-k} = (rho^k)^dagger and
     the residual of every row are then checked against the given ``l``,
     ``l_plus`` and ``l_minus`` (NoConvergence), and each pair is returned as
-    the mean of rho^k and (rho^{-k})^dagger.
+    the mean of rho^k and (rho^{-k})^dagger, in a dict {k: rho^k}.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -190,8 +171,7 @@ def floquet_harmonics(
             raise NoConvergence(
                 f"harmonic row k={k} residual {resid:.3e} > {HARMONIC_RESIDUAL_TOL:.1e}"
             )
-    return FloquetHarmonics(order=order, omega_d=omega_d,
-                            components=dict(zip(ks.tolist(), rho)))
+    return dict(zip(ks.tolist(), rho))
 
 
 def _undriven_inverse(l: np.ndarray | SecularGenerator, shift: np.ndarray, order: int):

@@ -23,9 +23,10 @@ from uscspec.dressed import (
 )
 from uscspec.gme import (
     GmeConfig,
+    _dephasing,
     build_drive_superoperators,
     build_gme,
-    dephasing_superoperator,
+    channel_operator,
     dissipator,
     qubit_channel,
     resonator_channel,
@@ -41,9 +42,9 @@ from uscspec.model import (
     fock_phase_rotation,
 )
 from uscspec.spectra import (
+    _s11,
     emission_probe,
     emission_spectrum,
-    reflectivity_point,
     reflectivity_spectrum,
 )
 from uscspec.steady import floquet_harmonics, steady_state
@@ -215,7 +216,7 @@ def test_criterion_04_regression_spectrum_matches_time_domain(capsys):
             np.real(np.trapezoid(corr * np.exp(-1j * w * taus), taus))
             for w in grid
         ])
-        got = emission_spectrum(lm, rho, xd, grid).values
+        got = emission_spectrum(lm, rho, xd, grid)
         rel = np.abs(got - ref).max() / np.abs(ref).max()
         assert rel < 1e-6, f"relative deviation {rel:.2e}"
 
@@ -237,7 +238,7 @@ def test_criterion_05_dominant_line_and_inductive_quench(capsys):
                     lm = _emission_liouvillian(params, basis, probe)
                     rho = steady_state(lm)
                     xd = emission_probe(params, probe, basis)
-                    s = emission_spectrum(lm, rho, xd, grid, method="eig").values
+                    s = emission_spectrum(lm, rho, xd, grid, method="eig")
                     imax = int(np.argmax(s))
                     spacing = grid[min(imax + 1, len(grid) - 1)] - grid[max(imax - 1, 0)]
                     tol = 2.0 * (FIG2_GAMMA_Q + FIG2_GAMMA_R) + spacing
@@ -298,7 +299,7 @@ def test_criterion_06_cavity_circuit_equivalence(capsys):
                 xd = emission_probe(params, jump_kind, basis)
             else:
                 xd = basis.to_dressed(build_output_operator(jump_kind, params))
-            s = emission_spectrum(lm, rho, xd, grid).values
+            s = emission_spectrum(lm, rho, xd, grid)
             return s / s.max()
 
         pc = SystemParams(delta=1.0, epsilon=0.0, eta=0.6, n_fock=12)
@@ -365,23 +366,23 @@ def test_criterion_08_floquet_harmonics_sanity(capsys):
 
         h4 = floquet_harmonics(l_total, lp, lmn, omega_d, order=4)
         x_plus = frequency_components(x, "plus")
-        s4 = reflectivity_point(h4, x_plus, FIG6_GAMMA_PORT, FIG6_B_IN,
-                                omega_d, -1)
+        s4 = _s11(h4[-1], x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_d, -1,
+                  params.omega_r)
         h6 = floquet_harmonics(l_total, lp, lmn, omega_d, order=6)
-        s6 = reflectivity_point(h6, x_plus, FIG6_GAMMA_PORT, FIG6_B_IN,
-                                omega_d, -1)
+        s6 = _s11(h6[-1], x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_d, -1,
+                  params.omega_r)
         # on the dip the order-2 tail still carries ~2e-8; by order 4 the
         # chain is converged to machine level
         assert abs(s4 - s6) < 1e-8, f"truncation drift {abs(s4 - s6):.2e}"
         omega_off = 1.2
         lp, lmn = build_drive_superoperators(
             x, FIG6_GAMMA_PORT, FIG6_B_IN, 0.0, omega_off, -1)
-        t2 = reflectivity_point(
-            floquet_harmonics(l_total, lp, lmn, omega_off, order=2),
-            x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_off, -1)
-        t4 = reflectivity_point(
-            floquet_harmonics(l_total, lp, lmn, omega_off, order=4),
-            x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_off, -1)
+        t2 = _s11(
+            floquet_harmonics(l_total, lp, lmn, omega_off, order=2)[-1],
+            x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_off, -1, params.omega_r)
+        t4 = _s11(
+            floquet_harmonics(l_total, lp, lmn, omega_off, order=4)[-1],
+            x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_off, -1, params.omega_r)
         assert abs(t2 - t4) < 1e-8, f"truncation drift {abs(t2 - t4):.2e}"
 
 
@@ -443,7 +444,8 @@ def test_criterion_10_dephasing_switches_with_flux_offset(capsys):
             params = SystemParams(delta=1.0, epsilon=eps, eta=0.6, n_fock=8)
             basis = dressed_basis(params)
             ch = qubit_channel(1e-2, 0.1, params.delta)
-            sup = dephasing_superoperator(basis, ch, params)
+            x = basis.to_dressed(channel_operator(ch, params))
+            sup = _dephasing(x, ch, GmeConfig())
             norm = np.abs(sup).max()
             if expect_zero:
                 assert norm < 1e-14, f"dephasing norm {norm:.2e} at eps=0"

@@ -1,10 +1,13 @@
+import contextlib
 import csv
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from uscspec.cli import (
     OutputSpec,
     RunConfig,
     SweepSpec,
+    _parallel_map,
     load_config,
     main,
     parse_config,
@@ -119,6 +123,9 @@ class TestConfigParsing:
         try:
             cfg = load_config(str(fifo))
         finally:
+            # a writer that was read may still be finishing, so give it time to
+            # end before draining, or the drain waits forever for a new writer
+            writer.join(timeout=10)
             if writer.is_alive():  # not read: drain the pipe so the writer ends
                 fifo.read_text()
             writer.join()
@@ -168,6 +175,14 @@ class TestMainExitCodes:
         err = json.loads((out / "error.json").read_text())
         assert err["type"] == "ConfigInvalid"
         assert err["error"].startswith("config is not valid YAML")
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("kept\n")
+        assert main(["emission", "--config", "fig2", "--out", str(target)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ConfigInvalid"
+        assert target.read_text() == "kept\n"
 
     def test_mode_mismatch_exits_2(self, tmp_path):
         path = _write(tmp_path, _emission_config())
@@ -480,6 +495,37 @@ def test_thread_pool_writes_the_same_bytes(tmp_path, command, cfg):
     assert ("audit.json" if command == "audit" else f"{command}_X_M.csv") in outputs[0]
 
 
+def test_process_pool_size_is_capped_by_the_items(monkeypatch):
+    # Pool starts every process at once, so asking for 64 must start 2
+    asked = []
+
+    def recording_pool(processes):
+        asked.append(processes)
+        return contextlib.nullcontext(types.SimpleNamespace(imap=map))
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", recording_pool)
+    assert _parallel_map(lambda x: 2 * x, [1, 2], threads=64) == [2, 4]
+    assert asked == [2]
+
+
+def test_process_pool_keeps_order_and_raises_the_first_failure_in_it():
+    def square_or_fail(x):
+        if x in (1, 2):
+            raise NoConvergence(f"item {x}")
+        return x * x
+
+    assert _parallel_map(square_or_fail, [3, 0, 4], threads=2) == [9, 0, 16]
+    with pytest.raises(NoConvergence, match="item 1"):
+        _parallel_map(square_or_fail, [0, 1, 2, 3], threads=2)
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    exec(example.split("```", 1)[0], {})
+    assert 0.05 <= float(capsys.readouterr().out) <= 3.0
+
+
 def test_readme_config_schema_parses_and_names_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     schema = readme.split("### Config schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
@@ -517,6 +563,18 @@ def test_cli_import_leaves_scipy_unloaded():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, uscspec.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # multiprocessing loads only when a sweep forks workers; concurrent.futures never
+    src = str(Path(uscspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, uscspec.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('multiprocessing', 'concurrent'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

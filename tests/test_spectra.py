@@ -26,14 +26,13 @@ from uscspec.model import (
 from uscspec.spectra import (
     PROBE_COUPLING,
     Normalization,
-    SpectrumSeries,
+    _s11,
     emission_probe,
     emission_spectrum,
     matrix_element_report,
-    reflectivity_point,
     reflectivity_spectrum,
 )
-from uscspec.steady import FloquetHarmonics, steady_state
+from uscspec.steady import steady_state
 
 
 def _emission_setup(eta=0.6, epsilon=0.0, n_fock=6, gamma_r=1e-3,
@@ -56,7 +55,7 @@ class TestEmissionSpectrum:
         rho = steady_state(lm)
         xd = emission_probe(params, OutputKind.CAPACITIVE_C, basis)
         spec = emission_spectrum(lm, rho, xd, np.linspace(0.05, 3.0, 120))
-        assert spec.values.min() > -1e-12 * max(spec.values.max(), 1.0)
+        assert spec.min() > -1e-12 * max(spec.max(), 1.0)
 
     def test_lines_sit_on_transitions(self):
         # every local maximum lies within twice the total rate of a dressed
@@ -67,7 +66,7 @@ class TestEmissionSpectrum:
         rho = steady_state(lm)
         xd = emission_probe(params, OutputKind.CAPACITIVE_C, basis)
         grid = np.linspace(0.05, 3.0, 1200)
-        s = emission_spectrum(lm, rho, xd, grid).values
+        s = emission_spectrum(lm, rho, xd, grid)
         table = build_transition_table(basis)
         peaks = grid[1:-1][(s[1:-1] > s[:-2]) & (s[1:-1] > s[2:])]
         significant = peaks[
@@ -81,8 +80,8 @@ class TestEmissionSpectrum:
         rho = steady_state(lm)
         xd = emission_probe(params, OutputKind.INDUCTIVE_M, basis)
         grid = np.linspace(0.1, 2.5, 60)
-        a = emission_spectrum(lm, rho, xd, grid).values
-        b = emission_spectrum(lm, rho, -xd, grid).values
+        a = emission_spectrum(lm, rho, xd, grid)
+        b = emission_spectrum(lm, rho, -xd, grid)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_eig_matches_solve(self):
@@ -90,8 +89,8 @@ class TestEmissionSpectrum:
         rho = steady_state(lm)
         xd = emission_probe(params, OutputKind.CAPACITIVE_C, basis)
         grid = np.linspace(0.05, 3.0, 80)
-        a = emission_spectrum(lm, rho, xd, grid, method="solve").values
-        b = emission_spectrum(lm, rho, xd, grid, method="eig").values
+        a = emission_spectrum(lm, rho, xd, grid, method="solve")
+        b = emission_spectrum(lm, rho, xd, grid, method="eig")
         np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-14 * abs(a).max())
 
     def test_decoupled_qubit_line_is_lorentzian(self):
@@ -115,7 +114,7 @@ class TestEmissionSpectrum:
         stx_dot = 1j * (np.diag(basis.energies) @ stx
                         - stx @ np.diag(basis.energies))
         grid = np.linspace(0.70, 0.90, 801)
-        s = emission_spectrum(lm, rho, stx_dot, grid).values
+        s = emission_spectrum(lm, rho, stx_dot, grid)
         peak = grid[np.argmax(s)]
         assert abs(peak - 0.8) < 1e-3
         half = s.max() / 2
@@ -154,7 +153,7 @@ class TestEmissionSpectrum:
             np.real(np.trapezoid(corr * np.exp(-1j * w * taus), taus))
             for w in grid
         ])
-        got = emission_spectrum(lm, rho, xd, grid).values
+        got = emission_spectrum(lm, rho, xd, grid)
         rel = np.abs(got - ref).max() / np.abs(ref).max()
         # finite integration window and trapezoid discretization limit the
         # agreement to a few 1e-6
@@ -163,8 +162,10 @@ class TestEmissionSpectrum:
 
 class TestSpectrumSeries:
     def test_grid_must_increase(self):
+        params, basis, lm = _emission_setup(n_fock=3)
+        xd = emission_probe(params, OutputKind.CAPACITIVE_C, basis)
         with pytest.raises(ValueError):
-            SpectrumSeries(grid=np.array([1.0, 0.5]), values=np.zeros(2))
+            emission_spectrum(lm, steady_state(lm), xd, np.array([1.0, 0.5]))
 
     def test_normalization_modes(self):
         assert Normalization("max_of_set") is Normalization.MAX_OF_SET
@@ -172,13 +173,8 @@ class TestSpectrumSeries:
 
 class TestReflectivity:
     def test_zero_drive_rejected(self):
-        from uscspec.spectra import reflectivity_point
-        from uscspec.steady import FloquetHarmonics
-
-        h = FloquetHarmonics(order=1, omega_d=1.0,
-                             components={0: np.eye(2) / 2})
         with pytest.raises(ZeroDrive):
-            reflectivity_point(h, np.zeros((2, 2)), 1e-3, 0.0, 1.0, +1)
+            _s11(np.zeros((2, 2)), np.zeros((2, 2)), 1e-3, 0.0, 1.0, +1, 1.0)
 
     def _sweep(self, probe, eps_grid, omega_grid):
         """S11 rows, one reflectivity_spectrum call per flux offset."""
@@ -258,9 +254,8 @@ class TestLinearResponse:
                     alpha = -sign * np.exp(-1j * config.drive.phase) * np.sqrt(
                         port.gamma * wd / params.omega_r)
                     rho_m1 = -alpha * x * (p[None, :] - p[:, None]) / (c + 1j * wd)
-                    harm = FloquetHarmonics(1, wd, {0: rho, -1: rho_m1})
-                    linear.append(reflectivity_point(harm, x_plus, port.gamma, 1.0, wd,
-                                                     sign, params.omega_r))
+                    linear.append(_s11(rho_m1, x_plus, port.gamma, 1.0, wd, sign,
+                                       params.omega_r))
                 for b_in in b_values:
                     floquet = reflectivity_spectrum(
                         params, probe, grid, qubit_bath, port.gamma, port.temperature,

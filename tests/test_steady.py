@@ -82,17 +82,17 @@ class TestFloquetHarmonics:
     def test_zero_drive_reduces_to_steady_state(self):
         params, lm, lp, lmn, _ = _driven_system(b_in=0.0)
         h = floquet_harmonics(lm, lp, lmn, omega_d=1.0, order=2)
-        np.testing.assert_allclose(h.rho0, steady_state(lm), atol=1e-10)
+        np.testing.assert_allclose(h[0], steady_state(lm), atol=1e-10)
         for k in (-2, -1, 1, 2):
             assert np.abs(h[k]).max() < 1e-12
 
     def test_invariants(self):
         params, lm, lp, lmn, _ = _driven_system()
         h = floquet_harmonics(lm, lp, lmn, omega_d=1.0, order=2)
-        assert np.trace(h.rho0) == pytest.approx(1.0, abs=1e-10)
+        assert np.trace(h[0]) == pytest.approx(1.0, abs=1e-10)
         for k in (-2, -1, 1, 2):
             assert abs(np.trace(h[k])) < 1e-10
-        np.testing.assert_allclose(h.rho0, h.rho0.conj().T, atol=1e-10)
+        np.testing.assert_allclose(h[0], h[0].conj().T, atol=1e-10)
 
     def test_harmonic_hermiticity_pairing(self):
         params, lm, lp, lmn, _ = _driven_system()
@@ -118,12 +118,6 @@ class TestFloquetHarmonics:
         obs2 = np.trace(x @ h2[-1])
         obs4 = np.trace(x @ h4[-1])
         assert abs(obs2 - obs4) < 1e-8 * max(abs(obs4), 1.0)
-
-    def test_getitem_beyond_truncation_is_zero(self):
-        params, lm, lp, lmn, _ = _driven_system()
-        h = floquet_harmonics(lm, lp, lmn, omega_d=1.0, order=2)
-        assert np.abs(h[3]).max() == 0.0
-        assert h[3].shape == h.rho0.shape
 
 
 def _stacked_harmonics(lm, lp, lmn, omega_d, order, d):
