@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -67,7 +66,6 @@ from .spectra import (
 )
 from .steady import steady_state
 
-THREAD_ENV_VAR = "USCSPEC_THREADS"
 SPECTRUM_MODES = ("emission", "reflectivity")
 ENERGY_AUDIT_TOL = 1e-7
 SPECTRUM_AUDIT_TOL = 1e-6
@@ -110,6 +108,8 @@ class SweepSpec:
         if self.parameter not in ("eta", "epsilon", "none"):
             raise ConfigInvalid(f"unknown sweep parameter {self.parameter!r}")
         _check_integer("sweep points", self.points)
+        if self.parameter == "none" and self.points != 1:
+            raise ConfigInvalid(f"a sweep over none has 1 point, got {self.points}")
         if self.points > 1 and self.start > self.stop:
             raise ConfigInvalid(f"sweep start {self.start} > stop {self.stop}")
 
@@ -370,38 +370,21 @@ def write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
 
 
-def write_manifest(out_dir: Path, config: RunConfig, extra: dict | None = None) -> None:
-    payload = {"config": resolved_dict(config)}
-    if extra:
-        payload.update(extra)
-    with open(out_dir / "manifest.json", "w") as fh:
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def write_error(out_dir: Path | None, exc: Exception) -> None:
+def write_manifest(out_dir: Path, config: RunConfig, extra: dict | None = None) -> None:
+    _write_json(out_dir / "manifest.json", {"config": resolved_dict(config), **(extra or {})})
+
+
+def write_error(out_dir: Path, exc: Exception) -> None:
     report = {"error": str(exc), "type": type(exc).__name__}
-    if out_dir is not None and out_dir.is_dir():
-        with open(out_dir / "error.json", "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    if out_dir.is_dir():
+        _write_json(out_dir / "error.json", report)
     print(json.dumps(report), file=sys.stderr)
-
-
-def resolve_threads(cli_value: int | None) -> int:
-    env = os.environ.get(THREAD_ENV_VAR)
-    if cli_value is not None:
-        n = cli_value
-    elif env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigInvalid(f"{THREAD_ENV_VAR} must be an integer, got {env!r}") from exc
-    else:
-        n = 1
-    if n < 1:
-        raise ConfigInvalid(f"thread count must be >= 1, got {n}")
-    return n
 
 
 _POOLED = None  # the callable of the running _parallel_map, inherited by its forks
@@ -584,12 +567,10 @@ def run_matelems(config: RunConfig, out_dir: Path, threads: int) -> None:
             mats.append(basis.to_dressed(x))
         operators[name] = mats
 
-    rows = matrix_element_report(values, bases, operators,
-                                 list(config.matelems.transitions))
     write_csv(out_dir / "matrix_elements.csv",
               ["sweep_value", "i_label", "j_label", "operator", "abs_sq"],
-              [(r.sweep_value, r.i_label, r.j_label, r.operator, r.abs_sq)
-               for r in rows])
+              matrix_element_report(values, bases, operators,
+                                    list(config.matelems.transitions)))
     write_manifest(out_dir, config)
 
 
@@ -636,9 +617,7 @@ def run_audit(config: RunConfig, out_dir: Path, threads: int) -> None:
         "tolerances": {"energy_abs": ENERGY_AUDIT_TOL, "spectrum_rel": SPECTRUM_AUDIT_TOL},
         "checks": checks,
     }
-    with open(out_dir / "audit.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "audit.json", report)
     write_manifest(out_dir, config, {"audit": report["result"]})
     print(f"audit: {report['result']}")
 
@@ -667,8 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True,
                        help="YAML config path or bundled name (fig2, fig5, fig6)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker processes for the sweep (default: {THREAD_ENV_VAR} or 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker processes for the sweep (default: 1)")
     return parser
 
 
@@ -681,13 +660,14 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             raise ConfigInvalid(f"--out {args.out!r} is not a usable directory: {exc}") from exc
         config = load_config(args.config)
-        threads = resolve_threads(args.threads)
+        if args.threads < 1:
+            raise ConfigInvalid(f"thread count must be >= 1, got {args.threads}")
         if args.command != "audit" and config.mode != args.command:
             raise ConfigInvalid(
                 f"config mode {config.mode!r} does not match subcommand {args.command!r}"
             )
         runner = run_audit if args.command == "audit" else RUNNERS[args.command]
-        runner(config, out_dir, threads)
+        runner(config, out_dir, args.threads)
     except ConfigInvalid as exc:
         write_error(out_dir, exc)
         return 2

@@ -224,7 +224,8 @@ def build_gme(
     emission through the lowering part A+ with weight omega (n_th + 1), and
     absorption through the raising part A- = (A+)^dagger with weight
     omega n_th. The qubit channel additionally carries the pure-dephasing
-    dissipator of the zero-frequency component of its coupling operator.
+    dissipator of the zero-frequency component of its coupling operator, which
+    only adds a rate to each rho_ab (``_dephasing_rates``).
 
     An entry of the dressed operator at (row, col) with E_col - E_row >
     OMEGA_MIN belongs to the lowering component at omega = E_col - E_row, and
@@ -262,7 +263,7 @@ def build_gme(
         lg += _filtered_dissipator(a_plus, wplus, w_n1, config.filter_b)
         lg += _filtered_dissipator(a_plus.conj().T, wplus.T, w_n.T, config.filter_b)
         if ch.which == ChannelKind.QUBIT:
-            lg += _dephasing(x, ch, config)
+            lg[np.diag_indices_from(lg)] += _dephasing_rates(x, ch, config).reshape(-1)
     return lg
 
 
@@ -283,8 +284,7 @@ def _secular_generator(terms, config: GmeConfig, d: int) -> SecularGenerator:
     R[f, i] = s |X_fi|^2 omega (n_th + 1) and is excited back at
     R[i, f] = s |X_fi|^2 omega n_th. The populations obey W = R - diag(Gamma),
     Gamma the column sums of R; coherence (a, b) decays at
-    -(Gamma_a + Gamma_b) / 2 plus the qubit channel's dephasing
-    kappa (lam_a conj(lam_b) - |lam_a|^2 / 2 - |lam_b|^2 / 2), lam = diag X.
+    -(Gamma_a + Gamma_b) / 2 plus the qubit channel's ``_dephasing_rates``.
     These are the only nonzero entries of the filtered dissipators there.
     """
     rates = np.zeros((d, d))  # rates[f, i]: rate of i -> f
@@ -293,10 +293,7 @@ def _secular_generator(terms, config: GmeConfig, d: int) -> SecularGenerator:
         strength = np.abs(a_plus) ** 2
         rates += strength * w_n1 + (strength * w_n).T
         if ch.which == ChannelKind.QUBIT:
-            lam = np.diag(x)
-            half = 0.5 * (lam.conj() * lam).real
-            kappa = _dephasing_rate(ch, config)
-            coherence += kappa * (np.outer(lam, lam.conj()) - half[:, None] - half[None, :])
+            coherence += _dephasing_rates(x, ch, config)
     escape = rates.sum(axis=0)
     coherence -= 0.5 * (escape[:, None] + escape[None, :])
     return SecularGenerator(rates - np.diag(escape), coherence)
@@ -333,9 +330,15 @@ def _filtered_dissipator(j: np.ndarray, w: np.ndarray, g: np.ndarray, b: float) 
     return sup
 
 
-def _dephasing_rate(channel: BathChannel, config: GmeConfig) -> float:
-    """Pure-dephasing rate of a qubit channel: (gamma / omega_i) (2 T + 1), or
-    (2 n_th + 1) in place of (2 T + 1) for the "bose" weight."""
+def _dephasing_rates(
+    x_dressed: np.ndarray, channel: BathChannel, config: GmeConfig
+) -> np.ndarray:
+    """Pure dephasing of a qubit channel, the dissipator of the zero-frequency
+    (diagonal) part lam of its dressed coupling operator. It acts on rho_ab
+    alone, at the rate returned in entry (a, b):
+    kappa (lam_a conj(lam_b) - |lam_a|^2 / 2 - |lam_b|^2 / 2), with
+    kappa = (gamma / omega_i) (2 T + 1), or (2 n_th + 1) in place of (2 T + 1)
+    for the "bose" weight."""
     if config.dephasing_weight == "printed":
         weight = 2.0 * channel.temperature + 1.0
     else:
@@ -343,13 +346,10 @@ def _dephasing_rate(channel: BathChannel, config: GmeConfig) -> float:
             channel.ref_frequency, channel.temperature
         )
         weight = 2.0 * nth + 1.0
-    return channel.gamma / channel.ref_frequency * weight
-
-
-def _dephasing(x_dressed: np.ndarray, channel: BathChannel, config: GmeConfig) -> np.ndarray:
-    """Pure-dephasing dissipator of a qubit channel: the zero-frequency
-    (diagonal) part of its dressed coupling operator at ``_dephasing_rate``."""
-    return _dephasing_rate(channel, config) * dissipator(np.diag(np.diag(x_dressed)))
+    kappa = channel.gamma / channel.ref_frequency * weight
+    lam = np.diag(x_dressed)
+    half = 0.5 * (lam.conj() * lam).real
+    return kappa * (np.outer(lam, lam.conj()) - half[:, None] - half[None, :])
 
 
 def total_liouvillian(

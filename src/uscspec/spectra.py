@@ -4,7 +4,6 @@ coherent reflectivity, plus matrix-element reports backing the figure sweeps."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -129,10 +128,14 @@ def reflectivity_spectrum(
     """S11(w_d) for one parameter point; the port couples through the operator
     implied by the probe (X_C for the capacitive probe, X_M otherwise).
 
+    The drive enters the k = -1 harmonic through L_-, whose coefficient
+    carries e^{-i phi}. S11 is referred to that input tone, so rho^{-1} is
+    rotated by e^{i phi} here and ``_s11`` divides by |b_in|.
+
     ``solved`` is an optional dict, created by the caller, that keeps the
-    dressed basis and the rho^{-1} of each drive frequency (the one Floquet
-    harmonic S11 reads) under everything they depend on, which is every
-    argument but the probe. Probes that share a port coupling (X_M and
+    dressed basis and the rotated rho^{-1} of each drive frequency (the one
+    Floquet harmonic S11 reads) under everything they depend on, which is
+    every argument but the probe. Probes that share a port coupling (X_M and
     a + a^dag) then share one GME assembly and one Floquet solve per drive
     frequency.
     """
@@ -157,7 +160,7 @@ def reflectivity_spectrum(
                 x_drive, gamma_port, b_in, phase, omega_d, sign, params.omega_r
             )
             harmonics = floquet_harmonics(l_total, lp, lmn, omega_d, order=order)
-            rho_minus1.append(harmonics[-1].copy())  # a view would keep every harmonic
+            rho_minus1.append(np.exp(1j * phase) * harmonics[-1])
         solved[key] = basis, rho_minus1
     basis, rho_minus1 = solved[key]
     x_probe = basis.to_dressed(build_output_operator(probe, params))
@@ -168,27 +171,19 @@ def reflectivity_spectrum(
     ])
 
 
-@dataclass(frozen=True)
-class MatrixElementRow:
-    sweep_value: float
-    i_label: str
-    j_label: str
-    operator: str
-    abs_sq: float
-
-
 def matrix_element_report(
     sweep_values,
     labeled_bases: list[DressedBasis],
     operators: dict,
     transitions: list[tuple[str, str]],
-) -> list[MatrixElementRow]:
-    """|<i|O|j>|^2 along a sweep for the requested labeled transitions.
+) -> list[tuple[float, str, str, str, float]]:
+    """|<i|O|j>|^2 along a sweep for the requested labeled transitions, as
+    (sweep_value, i_label, j_label, operator, abs_sq) rows.
 
     ``operators`` maps a name to the per-point list of dressed-basis matrices
     (same length as the sweep).
     """
-    rows: list[MatrixElementRow] = []
+    rows = []
     for name, mats in operators.items():
         if len(mats) != len(labeled_bases):
             raise UnknownLabel(f"operator {name!r}: {len(mats)} matrices for "
@@ -197,11 +192,5 @@ def matrix_element_report(
             for li, lj in transitions:
                 i = basis.index_of(li)
                 j = basis.index_of(lj)
-                rows.append(MatrixElementRow(
-                    sweep_value=float(value),
-                    i_label=li,
-                    j_label=lj,
-                    operator=name,
-                    abs_sq=float(abs(mat[i, j]) ** 2),
-                ))
+                rows.append((float(value), li, lj, name, float(abs(mat[i, j]) ** 2)))
     return rows

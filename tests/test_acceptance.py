@@ -23,7 +23,7 @@ from uscspec.dressed import (
 )
 from uscspec.gme import (
     GmeConfig,
-    _dephasing,
+    _dephasing_rates,
     build_drive_superoperators,
     build_gme,
     channel_operator,
@@ -445,8 +445,8 @@ def test_criterion_10_dephasing_switches_with_flux_offset(capsys):
             basis = dressed_basis(params)
             ch = qubit_channel(1e-2, 0.1, params.delta)
             x = basis.to_dressed(channel_operator(ch, params))
-            sup = _dephasing(x, ch, GmeConfig())
-            norm = np.abs(sup).max()
+            rates = _dephasing_rates(x, ch, GmeConfig())
+            norm = np.abs(rates).max()
             if expect_zero:
                 assert norm < 1e-14, f"dephasing norm {norm:.2e} at eps=0"
             else:

@@ -24,10 +24,10 @@ from uscspec.cli import (
     RunConfig,
     SweepSpec,
     _parallel_map,
+    build_parser,
     load_config,
     main,
     parse_config,
-    resolve_threads,
 )
 from uscspec.errors import ConfigInvalid, NoConvergence
 from uscspec.gme import GmeConfig
@@ -138,26 +138,16 @@ class TestConfigParsing:
 
 
 class TestThreadResolution:
-    def test_cli_value_wins(self, monkeypatch):
-        monkeypatch.setenv("USCSPEC_THREADS", "7")
-        assert resolve_threads(3) == 3
+    def test_nonpositive_rejected(self, tmp_path):
+        path = _write(tmp_path, _emission_config())
+        out = tmp_path / "out"
+        assert main(["emission", "--config", path, "--out", str(out), "--threads", "0"]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "ConfigInvalid"
+        assert not (out / "emission_X_C.csv").exists()
 
-    def test_env_value(self, monkeypatch):
-        monkeypatch.setenv("USCSPEC_THREADS", "5")
-        assert resolve_threads(None) == 5
-
-    def test_bad_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("USCSPEC_THREADS", "zero")
-        with pytest.raises(ConfigInvalid):
-            resolve_threads(None)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ConfigInvalid):
-            resolve_threads(0)
-
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("USCSPEC_THREADS", raising=False)
-        assert resolve_threads(None) == 1
+    def test_default_is_one(self):
+        assert build_parser().parse_args(["emission", "--config", "fig2"]).threads == 1
 
 
 class TestMainExitCodes:
@@ -220,10 +210,12 @@ class TestMainExitCodes:
         lambda c: c.update(drive={"b_in": 1e-4, "floquet_order": 2.5}),
         lambda c: c.update(probes=["X_C", "X_M"]) or c["system"].update(model_kind="cavity_qed"),
         lambda c: c.update(probes=["X_C", "X_D"]),
+        lambda c: c.update(sweep={"parameter": "none", "points": 5}),
     ], ids=["grid-key", "grid-empty-span", "fractional-points", "bath-gamma",
             "matelems-kind", "system-scalar", "negative-eta", "gme-omega-min",
             "negative-port-gamma", "negative-qubit-temperature", "fractional-n-fock",
-            "fractional-floquet-order", "cavity-qed-x-m", "circuit-x-d"])
+            "fractional-floquet-order", "cavity-qed-x-m", "circuit-x-d",
+            "no-sweep-with-points"])
     def test_malformed_config_exits_2(self, tmp_path, mutate):
         cfg = _emission_config()
         cfg["system"]["n_fock"] = 4
@@ -335,6 +327,21 @@ class TestEmissionRun:
         out = tmp_path / "out"
         assert main(["emission", "--config", path, "--out", str(out), "--threads", "1"]) == 0
         assert len(calls) == 3  # one per sweep point, shared by both probes
+
+    @pytest.mark.parametrize("normalization", ["per_spectrum", "raw"])
+    def test_normalization(self, tmp_path, normalization):
+        cfg = _emission_config(output={"normalization": normalization, "log_floor": 1e-3})
+        cfg["system"]["n_fock"] = 4
+        path = _write(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["emission", "--config", path, "--out", str(out)]) == 0
+        data = np.loadtxt(out / "emission_X_C.csv", delimiter=",", skiprows=1)
+        _, _, s_raw, s_norm, log_s = data.reshape(3, 25, 5).transpose(2, 0, 1)
+        if normalization == "per_spectrum":
+            np.testing.assert_allclose(s_norm.max(axis=1), 1.0, rtol=1e-15)
+        else:
+            np.testing.assert_array_equal(s_norm, s_raw)
+        np.testing.assert_array_equal(log_s, np.log10(np.maximum(s_norm, 1e-3)))
 
     def test_failing_probe_writes_no_csv(self, tmp_path, monkeypatch):
         # every X_M point fails at run time, after X_C has passed there
@@ -557,7 +564,7 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # numpy.linalg serves every solver; scipy is only imported for state labelling
+    # scipy loads on first use: state labelling, and the LU of a dense Floquet preconditioner
     src = str(Path(uscspec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

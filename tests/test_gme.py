@@ -8,7 +8,7 @@ from uscspec.dressed import dressed_basis, frequency_components
 from uscspec.gme import (
     ChannelKind,
     GmeConfig,
-    _dephasing,
+    _dephasing_rates,
     build_drive_superoperators,
     build_gme,
     channel_operator,
@@ -336,23 +336,23 @@ class TestDephasing:
         params = SystemParams(delta=1.0, epsilon=0.0, eta=0.6, n_fock=5)
         basis = dressed_basis(params)
         ch = qubit_channel(gamma=1e-2, temperature=0.1, delta=params.delta)
-        sup = _dephasing(basis.to_dressed(channel_operator(ch, params)), ch, GmeConfig())
-        assert np.abs(sup).max() < 1e-14
+        rates = _dephasing_rates(basis.to_dressed(channel_operator(ch, params)), ch, GmeConfig())
+        assert np.abs(rates).max() < 1e-14
 
     def test_nonzero_at_finite_bias(self):
         params = SystemParams(delta=1.0, epsilon=0.3, eta=0.6, n_fock=5)
         basis = dressed_basis(params)
         ch = qubit_channel(gamma=1e-2, temperature=0.1, delta=params.delta)
-        sup = _dephasing(basis.to_dressed(channel_operator(ch, params)), ch, GmeConfig())
-        assert np.abs(sup).max() > 1e-6
+        rates = _dephasing_rates(basis.to_dressed(channel_operator(ch, params)), ch, GmeConfig())
+        assert np.abs(rates).max() > 1e-6
 
     def test_weight_conventions_differ(self):
         params = SystemParams(delta=1.0, epsilon=0.3, eta=0.6, n_fock=5)
         basis = dressed_basis(params)
         ch = qubit_channel(gamma=1e-2, temperature=0.1, delta=params.delta)
         x = basis.to_dressed(channel_operator(ch, params))
-        printed = _dephasing(x, ch, GmeConfig(dephasing_weight="printed"))
-        bose = _dephasing(x, ch, GmeConfig(dephasing_weight="bose"))
+        printed = _dephasing_rates(x, ch, GmeConfig(dephasing_weight="printed"))
+        bose = _dephasing_rates(x, ch, GmeConfig(dephasing_weight="bose"))
         assert np.abs(printed - bose).max() > 1e-8
 
 

@@ -1,7 +1,8 @@
 """The traced benchmark run (``perfbench/child.py`` in ``trace`` mode) wraps
 module attributes of ``uscspec`` by name. These tests run it on tiny
 configs so that a refactor which renames or bypasses a wrapped attribute
-fails here rather than silently dropping a layer from ``--trace 1``."""
+fails here rather than silently dropping a layer from ``--trace 1``. The
+same configs check that a plain CLI run loads no scipy module."""
 import json
 import os
 import subprocess
@@ -61,3 +62,18 @@ def test_traced_run_records_every_layer(tmp_path, mode):
     if mode == "reflectivity":
         # X_M and a + a^dag share one port coupling, so nothing is rebuilt
         assert payload["useful"] == {"gme.build": 1.0, "steady.floquet": 1.0}
+
+
+@pytest.mark.parametrize("mode", sorted(CONFIGS))
+def test_run_leaves_scipy_unloaded(tmp_path, mode):
+    # importing scipy.linalg takes about as long as the whole fig6-reflectivity benchmark run
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(CONFIGS[mode]))
+    code = ("import sys, uscspec.cli; "
+            f"rc = uscspec.cli.main({[mode, '--config', str(config), '--out', str(tmp_path)]!r}); "
+            "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
