@@ -168,7 +168,7 @@ class BathSpec:
             jump = OutputKind(kind)
         except ValueError as exc:
             raise ConfigInvalid(f"unknown jump_kind {kind!r}") from exc
-        return resonator_channel(self.gamma, self.temperature, jump, params.omega_r)
+        return resonator_channel(self.gamma, self.temperature, jump)
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,6 @@ class RunConfig:
     drive: DriveSpec | None = None
     output: OutputSpec = field(default_factory=OutputSpec)
     matelems: MatElemSpec = field(default_factory=MatElemSpec)
-    labeling: str = "auto"  # "auto" | "jc" | "index"
     emission_method: str = "auto"  # "auto" | "solve" | "eig"; whole-L emission path only
 
     def __post_init__(self):
@@ -202,8 +201,6 @@ class RunConfig:
                 raise ConfigInvalid(f"{self.mode} mode requires at least one probe")
             if self.grid is None:
                 raise ConfigInvalid(f"{self.mode} mode requires a grid block")
-        if self.labeling not in ("auto", "jc", "index"):
-            raise ConfigInvalid(f"unknown labeling {self.labeling!r}")
         if self.emission_method not in ("auto", "solve", "eig"):
             raise ConfigInvalid(f"unknown emission_method {self.emission_method!r}")
         if self.mode == "reflectivity":
@@ -277,6 +274,10 @@ def parse_config(raw: dict) -> RunConfig:
         model_kind = ModelKind(kind)
     except ValueError as exc:
         raise ConfigInvalid(f"unknown model_kind {kind!r}") from exc
+    unit = sysblock.get("omega_r", 1.0)
+    if unit != 1.0:
+        raise ConfigInvalid(f"omega_r is the frequency unit and must be 1.0, got {unit!r}")
+    sysblock = {k: v for k, v in sysblock.items() if k != "omega_r"}
     system = _block(SystemParams, {**sysblock, "model_kind": model_kind}, "system block")
 
     bath_blocks = _require(raw, "baths", "config")
@@ -320,7 +321,6 @@ def parse_config(raw: dict) -> RunConfig:
         drive=drive,
         output=output,
         matelems=matelems,
-        labeling=raw.get("labeling", "auto"),
         emission_method=raw.get("emission_method", "auto"),
     )
 
@@ -422,12 +422,10 @@ def _sweep_params(config: RunConfig) -> tuple[np.ndarray, list[SystemParams]]:
 
 
 def _labeled_bases(config: RunConfig, params_list: list[SystemParams]) -> list[DressedBasis]:
+    """The sweep's dressed bases, labeled by continuation from JC labels on an
+    eta sweep at epsilon = 0 and from plain indices otherwise."""
     bases = [dressed_basis(p) for p in params_list]
-    mode = config.labeling
-    if mode == "auto":
-        mode = "jc" if (config.sweep.parameter == "eta"
-                        and config.system.epsilon == 0.0) else "index"
-    if mode == "jc":
+    if config.sweep.parameter == "eta" and config.system.epsilon == 0.0:
         initial = jc_initial_labels(params_list[0])
     else:
         initial = plain_labels(bases[0].dim)
@@ -505,8 +503,8 @@ def _sweep_maps(config: RunConfig, threads: int) -> tuple[np.ndarray, str, list]
     _, params_list = _sweep_params(config)
     grid = config.grid.values()
     method = config.emission_method
-    if method == "auto":
-        method = "eig" if grid.size >= 4 * len(params_list) else "solve"
+    if method == "auto":  # one eig of a dense L costs 20-31 solves (n_fock 8-20)
+        method = "eig" if grid.size >= 32 else "solve"
     maps = _parallel_map(lambda params: _point_rows(config, params, grid, method),
                          params_list, threads)
     return grid, method, maps
@@ -643,11 +641,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("eigen", "emission", "reflectivity", "matelems", "audit"):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True,
-                       help="YAML config path or bundled name (fig2, fig5, fig6)")
+        p.add_argument("--config", help="YAML config path or bundled name (fig2, fig5, fig6)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for the sweep (default: 1)")
+        p.add_argument("--threads", default=1, help="worker processes for the sweep (default: 1)")
     return parser
 
 
@@ -659,15 +655,18 @@ def main(argv: list[str] | None = None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigInvalid(f"--out {args.out!r} is not a usable directory: {exc}") from exc
+        if args.config is None:
+            raise ConfigInvalid("the --config argument is required")
+        threads = int(args.threads) if str(args.threads).isdecimal() else 0
+        if threads < 1:
+            raise ConfigInvalid(f"--threads must be an integer >= 1, got {args.threads!r}")
         config = load_config(args.config)
-        if args.threads < 1:
-            raise ConfigInvalid(f"thread count must be >= 1, got {args.threads}")
         if args.command != "audit" and config.mode != args.command:
             raise ConfigInvalid(
                 f"config mode {config.mode!r} does not match subcommand {args.command!r}"
             )
         runner = run_audit if args.command == "audit" else RUNNERS[args.command]
-        runner(config, out_dir, args.threads)
+        runner(config, out_dir, threads)
     except ConfigInvalid as exc:
         write_error(out_dir, exc)
         return 2

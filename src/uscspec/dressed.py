@@ -145,13 +145,13 @@ def jc_initial_labels(params: SystemParams) -> tuple[str, ...]:
     n_fock = params.n_fock
     a = annihilation(params)
     sigma_p = qubit_op(np.array([[0, 1], [0, 0]], dtype=complex), n_fock)
-    # rotating-wave part of omega_r eta (a + a^dag) sigma_tilde_x: the
+    # rotating-wave part of eta (a + a^dag) sigma_tilde_x: the
     # transition component of sigma_tilde_x is -sin(theta) sigma_x, so the
     # JC coupling inherits that sign (it fixes which doublet member is "n-")
-    g = -params.omega_r * params.eta * QubitFrame.from_params(params).sin_theta
+    g = -params.eta * QubitFrame.from_params(params).sin_theta
     hjc = (
         0.5 * params.omega0 * qubit_op(SIGMA_Z, n_fock)
-        + params.omega_r * a.conj().T @ a
+        + a.conj().T @ a
         + g * (a @ sigma_p + a.conj().T @ sigma_p.conj().T)
     )
     e_jc, v_jc = np.linalg.eigh(hjc)

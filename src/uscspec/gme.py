@@ -65,13 +65,8 @@ class BathChannel:
             raise ValueError("resonator channel needs a jump_kind")
 
 
-def resonator_channel(
-    gamma: float,
-    temperature: float,
-    jump_kind: OutputKind,
-    omega_r: float = 1.0,
-) -> BathChannel:
-    return BathChannel(ChannelKind.RESONATOR, gamma, temperature, omega_r, jump_kind)
+def resonator_channel(gamma: float, temperature: float, jump_kind: OutputKind) -> BathChannel:
+    return BathChannel(ChannelKind.RESONATOR, gamma, temperature, 1.0, jump_kind)  # omega_r = 1
 
 
 def qubit_channel(gamma: float, temperature: float, delta: float) -> BathChannel:
@@ -321,13 +316,13 @@ def _filtered_dissipator(j: np.ndarray, w: np.ndarray, g: np.ndarray, b: float) 
     sup = j[:, None, :, None] * j.conj()[None, :, None, :]
     sup *= weight
     del weight
-    sup = sup.reshape(d * d, d * d)
     # (J^dag J)_ab = conj(J[c, a]) J[c, b], filtered on (w[c, a], w[c, b])
     f3 = gaussian_filter(w[:, :, None], w[:, None, :], b)
     k = np.einsum("ca,cb,cab->ab", j.conj(), j, f3 * g[:, None, :])
-    sup -= spre(k)
-    sup -= spost(k.conj().T)
-    return sup
+    # minus K rho and rho K^dag, on the diagonal views of spre(K) and spost(K^dag)
+    np.einsum("abcb->abc", sup)[...] -= k[:, None, :]
+    np.einsum("abad->abd", sup)[...] -= k.conj()[None, :, :]
+    return sup.reshape(d * d, d * d)
 
 
 def _dephasing_rates(
@@ -374,10 +369,10 @@ def build_drive_superoperators(
     phase: float,
     omega_d: float,
     coupling_sign: int,
-    omega_r: float = 1.0,
 ) -> tuple[Commutator, Commutator]:
     """Coherent-drive superoperators L_{+/-} rho = +/- s |b_in| e^{+/- i phi}
-    sqrt(gamma omega_d / omega_r) [X, rho], as two ``Commutator`` on X.
+    sqrt(gamma omega_d) [X, rho] (omega_d in units of omega_r), as two
+    ``Commutator`` on X.
 
     These are -i[h_{+/-}, rho] with h_- = h_+^dagger, so the sideband pair
     keeps the time-periodic density matrix Hermitian: (L_+ rho)^dagger
@@ -389,6 +384,6 @@ def build_drive_superoperators(
         raise NonPositiveFrequency("drive frequency must be positive")
     if rate_gamma < 0:
         raise ValueError("rate_gamma must be >= 0")
-    amp = abs(b_in) * np.sqrt(rate_gamma * omega_d / omega_r)
+    amp = abs(b_in) * np.sqrt(rate_gamma * omega_d)
     return (Commutator(x, coupling_sign * amp * np.exp(1j * phase)),
             Commutator(x, -coupling_sign * amp * np.exp(-1j * phase)))

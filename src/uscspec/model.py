@@ -3,7 +3,7 @@
 Conventions
 -----------
 - Energies and rates are expressed in units of the resonator frequency
-  (``omega_r = 1`` unless stated otherwise), with hbar = k_B = 1.
+  omega_r, which is therefore 1, with hbar = k_B = 1.
 - Tensor ordering is qubit (x) Fock; the qubit basis is ordered (|e>, |g>),
   so ``sigma_z = diag(1, -1)`` and the composite state |q, n> sits at linear
   index q * n_fock + n.
@@ -61,7 +61,6 @@ class SystemParams:
     delta: float
     epsilon: float
     eta: float
-    omega_r: float = 1.0
     n_fock: int = 20
     model_kind: ModelKind = ModelKind.CIRCUIT
 
@@ -73,8 +72,6 @@ class SystemParams:
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if not 0 <= self.eta < math.inf:
             raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
-        if not 0 < self.omega_r < math.inf:
-            raise ValueError(f"omega_r must be finite and > 0, got {self.omega_r}")
         if self.n_fock < 2:
             raise CutoffTooSmall(f"n_fock must be >= 2, got {self.n_fock}")
         qubit_frequency(self.delta, self.epsilon)
@@ -163,11 +160,11 @@ def build_static_hamiltonian(params: SystemParams) -> np.ndarray:
     a = annihilation(params)
     number = a.conj().T @ a
     stx = sigma_tilde_x(frame, params.n_fock)
-    h = 0.5 * frame.omega0 * qubit_op(SIGMA_Z, params.n_fock) + params.omega_r * number
+    h = 0.5 * frame.omega0 * qubit_op(SIGMA_Z, params.n_fock) + number
     if params.model_kind == ModelKind.CIRCUIT:
-        h = h + params.omega_r * params.eta * (a + a.conj().T) @ stx
+        h = h + params.eta * (a + a.conj().T) @ stx
     else:
-        h = h + params.omega_r * params.eta * (1j * (a.conj().T - a)) @ stx
+        h = h + params.eta * (1j * (a.conj().T - a)) @ stx
     assert_hermitian(h, name="static Hamiltonian")
     return h
 

@@ -94,14 +94,14 @@ def emission_probe(params: SystemParams, kind: OutputKind, basis: DressedBasis) 
     return basis.to_dressed(heisenberg_derivative(x, h))
 
 
-def _s11(rho_minus1, x_probe_plus, gamma_port, b_in, omega_d, coupling_sign, omega_r):
-    """|S11| = |1 -/+ (sqrt(2 pi) / |b_in|) sqrt(w_d gamma / w_r) Tr[X+ rho^{-1}]|,
+def _s11(rho_minus1, x_probe_plus, gamma_port, b_in, omega_d, coupling_sign):
+    """|S11| = |1 -/+ (sqrt(2 pi) / |b_in|) sqrt(w_d gamma) Tr[X+ rho^{-1}]|,
     minus for the mutual inductive coupling (``coupling_sign = -1``). Under the
     steady-state approximation Xdot+ ~ -i w_d X+ the probe needs no derivative."""
     if b_in == 0:
         raise ZeroDrive("reflectivity undefined at zero drive amplitude")
     tr = np.trace(x_probe_plus @ rho_minus1)
-    amp = math.sqrt(2.0 * math.pi) / abs(b_in) * math.sqrt(omega_d * gamma_port / omega_r)
+    amp = math.sqrt(2.0 * math.pi) / abs(b_in) * math.sqrt(omega_d * gamma_port)
     return float(abs(1.0 + coupling_sign * amp * tr))
 
 
@@ -146,19 +146,14 @@ def reflectivity_spectrum(
            port_temperature, b_in, phase, config, order)
     solved = {} if solved is None else solved
     if key not in solved:
-        channels = [
-            resonator_channel(gamma_port, port_temperature, coupling, params.omega_r),
-            qubit_bath,
-        ]
+        channels = [resonator_channel(gamma_port, port_temperature, coupling), qubit_bath]
         basis = dressed_basis(params)
         lg = build_gme(basis, channels, config, params)
         l_total = total_liouvillian(basis, lg)
         x_drive = basis.to_dressed(build_output_operator(coupling, params))
         rho_minus1 = []
         for omega_d in omega_d_grid:
-            lp, lmn = build_drive_superoperators(
-                x_drive, gamma_port, b_in, phase, omega_d, sign, params.omega_r
-            )
+            lp, lmn = build_drive_superoperators(x_drive, gamma_port, b_in, phase, omega_d, sign)
             harmonics = floquet_harmonics(l_total, lp, lmn, omega_d, order=order)
             rho_minus1.append(np.exp(1j * phase) * harmonics[-1])
         solved[key] = basis, rho_minus1
@@ -166,7 +161,7 @@ def reflectivity_spectrum(
     x_probe = basis.to_dressed(build_output_operator(probe, params))
     x_probe_plus = frequency_components(x_probe, "plus")
     return np.array([
-        _s11(rho, x_probe_plus, gamma_port, b_in, omega_d, sign, params.omega_r)
+        _s11(rho, x_probe_plus, gamma_port, b_in, omega_d, sign)
         for rho, omega_d in zip(rho_minus1, omega_d_grid)
     ])
 

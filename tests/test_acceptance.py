@@ -85,7 +85,7 @@ def _symmetric_label_sweep():
 
 def _emission_liouvillian(params, basis, jump_kind):
     channels = [
-        resonator_channel(FIG2_GAMMA_R, FIG2_T_R, jump_kind, params.omega_r),
+        resonator_channel(FIG2_GAMMA_R, FIG2_T_R, jump_kind),
         qubit_channel(FIG2_GAMMA_Q, FIG2_T_Q, params.delta),
     ]
     lg = build_gme(basis, channels, GmeConfig(), params)
@@ -131,7 +131,7 @@ def test_criterion_02_trace_and_hermiticity_preservation(capsys):
             basis = dressed_basis(params)
             for temp in (0.0, 0.1, 0.55):
                 channels = [
-                    resonator_channel(1e-3, temp, jump_kind, params.omega_r),
+                    resonator_channel(1e-3, temp, jump_kind),
                     qubit_channel(1e-2, temp, params.delta),
                 ]
                 lm = total_liouvillian(
@@ -156,7 +156,7 @@ def test_criterion_03_secular_limit_matches_lindblad_oracle(capsys):
         params = SystemParams(delta=1.0, epsilon=0.0, eta=0.4, n_fock=4)
         basis = dressed_basis(params)
         specs = [
-            (OutputKind.CAPACITIVE_C, 1e-3, 0.3, params.omega_r),
+            (OutputKind.CAPACITIVE_C, 1e-3, 0.3, 1.0),  # omega_r = 1
             (None, 1e-2, 0.1, params.delta),  # qubit channel
         ]
         channels = [
@@ -289,7 +289,7 @@ def test_criterion_06_cavity_circuit_equivalence(capsys):
         def _normalized(params, jump_kind, probe_op, gamma_r):
             basis = dressed_basis(params)
             channels = [
-                resonator_channel(gamma_r, 0.0, jump_kind, params.omega_r),
+                resonator_channel(gamma_r, 0.0, jump_kind),
                 qubit_channel(1e-2, 0.1, params.delta),
             ]
             lm = total_liouvillian(
@@ -341,8 +341,7 @@ def test_criterion_08_floquet_harmonics_sanity(capsys):
                               eta=FIG6_BASE["eta"], n_fock=8)
         basis = dressed_basis(params)
         channels = [
-            resonator_channel(FIG6_GAMMA_PORT, FIG6_TEMP,
-                              OutputKind.INDUCTIVE_M, params.omega_r),
+            resonator_channel(FIG6_GAMMA_PORT, FIG6_TEMP, OutputKind.INDUCTIVE_M),
             qubit_channel(FIG6_GAMMA_Q, FIG6_TEMP, params.delta),
         ]
         l_total = total_liouvillian(
@@ -366,11 +365,9 @@ def test_criterion_08_floquet_harmonics_sanity(capsys):
 
         h4 = floquet_harmonics(l_total, lp, lmn, omega_d, order=4)
         x_plus = frequency_components(x, "plus")
-        s4 = _s11(h4[-1], x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_d, -1,
-                  params.omega_r)
+        s4 = _s11(h4[-1], x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_d, -1)
         h6 = floquet_harmonics(l_total, lp, lmn, omega_d, order=6)
-        s6 = _s11(h6[-1], x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_d, -1,
-                  params.omega_r)
+        s6 = _s11(h6[-1], x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_d, -1)
         # on the dip the order-2 tail still carries ~2e-8; by order 4 the
         # chain is converged to machine level
         assert abs(s4 - s6) < 1e-8, f"truncation drift {abs(s4 - s6):.2e}"
@@ -379,10 +376,10 @@ def test_criterion_08_floquet_harmonics_sanity(capsys):
             x, FIG6_GAMMA_PORT, FIG6_B_IN, 0.0, omega_off, -1)
         t2 = _s11(
             floquet_harmonics(l_total, lp, lmn, omega_off, order=2)[-1],
-            x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_off, -1, params.omega_r)
+            x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_off, -1)
         t4 = _s11(
             floquet_harmonics(l_total, lp, lmn, omega_off, order=4)[-1],
-            x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_off, -1, params.omega_r)
+            x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_off, -1)
         assert abs(t2 - t4) < 1e-8, f"truncation drift {abs(t2 - t4):.2e}"
 
 

@@ -28,6 +28,7 @@ from uscspec.cli import (
     load_config,
     main,
     parse_config,
+    resolved_dict,
 )
 from uscspec.errors import ConfigInvalid, NoConvergence
 from uscspec.gme import GmeConfig
@@ -47,7 +48,6 @@ def _emission_config(**overrides):
         "grid": {"start": 0.1, "stop": 2.5, "points": 25},
         "sweep": {"parameter": "eta", "start": 0.2, "stop": 0.6, "points": 3},
         "output": {"normalization": "max_of_set", "log_floor": 1e-6},
-        "labeling": "index",
     }
     cfg.update(overrides)
     return cfg
@@ -131,6 +131,12 @@ class TestConfigParsing:
             writer.join()
         assert cfg == parse_config(_emission_config())
 
+    def test_omega_r_of_one_is_accepted_and_not_recorded(self):
+        cfg = _emission_config()
+        cfg["system"]["omega_r"] = 1.0
+        assert parse_config(cfg) == parse_config(_emission_config())
+        assert "omega_r" not in resolved_dict(parse_config(cfg))["system"]
+
     def test_defaults_recorded(self):
         cfg = parse_config(_emission_config())
         assert cfg.gme.filter_b == 0.0
@@ -174,6 +180,21 @@ class TestMainExitCodes:
         assert err["type"] == "ConfigInvalid"
         assert target.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("tail", [
+        ["--config", "CONFIG", "--threads", "x"],
+        ["--config", "CONFIG", "--threads", "2.5"],
+        [],
+    ], ids=["threads-x", "threads-fraction", "no-config"])
+    def test_usage_error_exits_2_and_writes_error(self, tmp_path, capsys, tail):
+        path = _write(tmp_path, _emission_config())
+        out = tmp_path / "out"
+        argv = ["emission", "--out", str(out)] + [path if a == "CONFIG" else a for a in tail]
+        assert main(argv) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "ConfigInvalid"
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == err
+        assert not (out / "emission_X_C.csv").exists()
+
     def test_mode_mismatch_exits_2(self, tmp_path):
         path = _write(tmp_path, _emission_config())
         out = tmp_path / "out"
@@ -211,11 +232,13 @@ class TestMainExitCodes:
         lambda c: c.update(probes=["X_C", "X_M"]) or c["system"].update(model_kind="cavity_qed"),
         lambda c: c.update(probes=["X_C", "X_D"]),
         lambda c: c.update(sweep={"parameter": "none", "points": 5}),
+        lambda c: c["system"].update(omega_r=2.0),
+        lambda c: c.update(labeling="index"),
     ], ids=["grid-key", "grid-empty-span", "fractional-points", "bath-gamma",
             "matelems-kind", "system-scalar", "negative-eta", "gme-omega-min",
             "negative-port-gamma", "negative-qubit-temperature", "fractional-n-fock",
             "fractional-floquet-order", "cavity-qed-x-m", "circuit-x-d",
-            "no-sweep-with-points"])
+            "no-sweep-with-points", "omega-r-not-one", "labeling-key"])
     def test_malformed_config_exits_2(self, tmp_path, mutate):
         cfg = _emission_config()
         cfg["system"]["n_fock"] = 4
@@ -328,6 +351,19 @@ class TestEmissionRun:
         assert main(["emission", "--config", path, "--out", str(out), "--threads", "1"]) == 0
         assert len(calls) == 3  # one per sweep point, shared by both probes
 
+    @pytest.mark.parametrize("grid_points, method", [(31, "solve"), (32, "eig")])
+    def test_auto_method_follows_the_grid_alone(self, tmp_path, grid_points, method):
+        # eig and the per-frequency solves are both costs of one point, so the
+        # 12 sweep points (more than grid / 4) play no part in the choice
+        cfg = _emission_config(
+            grid={"start": 0.1, "stop": 2.5, "points": grid_points},
+            sweep={"parameter": "eta", "start": 0.2, "stop": 0.6, "points": 12})
+        cfg["system"]["n_fock"] = 3
+        path = _write(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["emission", "--config", path, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["emission_method"] == method
+
     @pytest.mark.parametrize("normalization", ["per_spectrum", "raw"])
     def test_normalization(self, tmp_path, normalization):
         cfg = _emission_config(output={"normalization": normalization, "log_floor": 1e-3})
@@ -370,7 +406,6 @@ class TestEigenRun:
             "baths": [{"which": "qubit", "gamma": 1e-2, "temperature": 0.0}],
             "sweep": {"parameter": "epsilon", "start": 0.0, "stop": 0.5,
                       "points": 3},
-            "labeling": "index",
         }
         out = tmp_path / "out"
         path = _write(tmp_path, cfg)
@@ -385,7 +420,7 @@ class TestEigenRun:
 
 class TestMatelemsRun:
     def test_rows_written(self, tmp_path):
-        cfg = _emission_config(mode="matelems", labeling="jc")
+        cfg = _emission_config(mode="matelems")
         cfg["matelems"] = {
             "operators": [{"name": "xdot_m", "kind": "X_M",
                            "derivative": True}],

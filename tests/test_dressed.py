@@ -52,7 +52,7 @@ class TestDiagonalize:
             diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_jc_vacuum_rabi_splitting(self):
-        # resonant weak coupling: first excited doublet split by 2 eta omega_r
+        # resonant weak coupling: first excited doublet split by 2 eta
         p = SystemParams(delta=1.0, epsilon=0.0, eta=1e-3, n_fock=8)
         basis = dressed_basis(p)
         splitting = basis.energies[2] - basis.energies[1]

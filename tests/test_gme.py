@@ -202,7 +202,7 @@ class TestSecularOracle:
                     continue
                 jump = np.zeros((d, d), dtype=complex)
                 jump[i, j] = x[i, j]
-                rate = gamma * w / params.omega_r
+                rate = gamma * w
                 n_th = thermal_occupation(w, temp)
                 ref += rate * (n_th + 1) * dissipator(jump)
                 ref += rate * n_th * dissipator(jump.conj().T)

@@ -136,7 +136,7 @@ class TestStaticHamiltonian:
         p = SystemParams(eta=eta1, **base)
         a = annihilation(p)
         stx = sigma_tilde_x(QubitFrame.from_params(p), p.n_fock)
-        expected = (eta2 - eta1) * p.omega_r * (a + a.conj().T) @ stx
+        expected = (eta2 - eta1) * (a + a.conj().T) @ stx
         np.testing.assert_allclose(h2 - h1, expected, atol=1e-12)
 
     def test_parity_commutes_at_zero_offset(self):
@@ -205,9 +205,8 @@ class TestHeisenbergDerivative:
     def test_harmonic_oscillator(self):
         p = SystemParams(delta=1.0, epsilon=0.0, eta=0.0, n_fock=8)
         a = annihilation(p)
-        h = p.omega_r * (a.conj().T @ a)
-        np.testing.assert_allclose(heisenberg_derivative(a, h), -1j * p.omega_r * a,
-                                   atol=1e-14)
+        h = a.conj().T @ a
+        np.testing.assert_allclose(heisenberg_derivative(a, h), -1j * a, atol=1e-14)
 
     def test_capacitive_derivative_closed_form(self):
         # the closed form relies on [a, a+] = 1, which fails on the last
@@ -217,7 +216,7 @@ class TestHeisenbergDerivative:
         xc = build_output_operator(OutputKind.CAPACITIVE_C, p)
         a = annihilation(p)
         stx = sigma_tilde_x(QubitFrame.from_params(p), p.n_fock)
-        expected = -p.omega_r * (a + a.conj().T + 2 * p.eta * stx)
+        expected = -(a + a.conj().T + 2 * p.eta * stx)
         dev = heisenberg_derivative(xc, h) - expected
         assert np.abs(dev[interior_mask(p.dim, p.n_fock)]).max() < 1e-12
 
@@ -227,10 +226,9 @@ class TestHeisenbergDerivative:
         xm = build_output_operator(OutputKind.INDUCTIVE_M, p)
         a = annihilation(p)
         frame = QubitFrame.from_params(p)
-        expected = p.omega_r * (
+        expected = (
             1j * (a.conj().T - a)
-            - 2 * p.eta * (frame.omega0 / p.omega_r) * frame.sin_theta
-            * qubit_op(SIGMA_Y, p.n_fock)
+            - 2 * p.eta * frame.omega0 * frame.sin_theta * qubit_op(SIGMA_Y, p.n_fock)
         )
         # exact under truncation: no boundary exclusion needed
         np.testing.assert_allclose(heisenberg_derivative(xm, h), expected, atol=1e-13)
@@ -281,7 +279,7 @@ class TestCavityRotation:
             build_output_operator(OutputKind.CAPACITIVE_C, circuit),
             build_static_hamiltonian(circuit),
         )
-        dev = r @ xd @ r.conj().T - xc_dot / circuit.omega_r
+        dev = r @ xd @ r.conj().T - xc_dot
         assert np.abs(dev[interior_mask(circuit.dim, circuit.n_fock)]).max() < 1e-12
 
 

@@ -174,7 +174,7 @@ class TestSpectrumSeries:
 class TestReflectivity:
     def test_zero_drive_rejected(self):
         with pytest.raises(ZeroDrive):
-            _s11(np.zeros((2, 2)), np.zeros((2, 2)), 1e-3, 0.0, 1.0, +1, 1.0)
+            _s11(np.zeros((2, 2)), np.zeros((2, 2)), 1e-3, 0.0, 1.0, +1)
 
     def _sweep(self, probe, eps_grid, omega_grid):
         """S11 rows, one reflectivity_spectrum call per flux offset."""
@@ -251,8 +251,8 @@ class TestLinearResponse:
             solved = {b_in: {} for b_in in b_values}
             for probe in config.probes:
                 coupling, sign = PROBE_COUPLING[probe]
-                channels = [resonator_channel(port.gamma, port.temperature, coupling,
-                                              params.omega_r), qubit_bath]
+                channels = [resonator_channel(port.gamma, port.temperature, coupling),
+                            qubit_bath]
                 lm = total_liouvillian(basis, build_gme(basis, channels, config.gme, params))
                 rho = steady_state(lm)
                 p, c = np.diag(rho).real, np.diagonal(lm.matrix).reshape(params.dim, params.dim)
@@ -261,11 +261,9 @@ class TestLinearResponse:
                     basis.to_dressed(build_output_operator(probe, params)), "plus")
                 linear = []
                 for wd in grid:
-                    alpha = -sign * np.exp(-1j * config.drive.phase) * np.sqrt(
-                        port.gamma * wd / params.omega_r)
+                    alpha = -sign * np.exp(-1j * config.drive.phase) * np.sqrt(port.gamma * wd)
                     rho_m1 = -alpha * x * (p[None, :] - p[:, None]) / (c + 1j * wd)
-                    linear.append(_s11(rho_m1, x_plus, port.gamma, 1.0, wd, sign,
-                                       params.omega_r))
+                    linear.append(_s11(rho_m1, x_plus, port.gamma, 1.0, wd, sign))
                 for b_in in b_values:
                     floquet = reflectivity_spectrum(
                         params, probe, grid, qubit_bath, port.gamma, port.temperature,
@@ -286,7 +284,7 @@ class TestLinearResponse:
 class TestMatrixElementReport:
     def test_decoupled_capacitive_element(self):
         # far-detuned decoupled limit: the first resonator excitation carries
-        # |<1|Xdot_C|0>|^2 = omega_r^2
+        # |<1|Xdot_C|0>|^2 = omega_r^2 = 1
         params = SystemParams(delta=1.5, epsilon=0.0, eta=0.0, n_fock=4)
         basis = dressed_basis(params)
         labeled = label_states([basis], jc_initial_labels(params))
@@ -296,7 +294,7 @@ class TestMatrixElementReport:
         rows = matrix_element_report(
             [0.0], labeled, {"xdot_c": [xdot]}, [("0", "1-")])
         assert len(rows) == 1
-        assert rows[0][4] == pytest.approx(params.omega_r**2, rel=1e-12)
+        assert rows[0][4] == pytest.approx(1.0, rel=1e-12)
 
     def test_sweep_rows_cover_all_requests(self):
         etas = [0.1, 0.2, 0.3]
