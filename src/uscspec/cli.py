@@ -380,9 +380,9 @@ def write_manifest(out_dir: Path, config: RunConfig, extra: dict | None = None) 
     _write_json(out_dir / "manifest.json", {"config": resolved_dict(config), **(extra or {})})
 
 
-def write_error(out_dir: Path, exc: Exception) -> None:
+def write_error(out_dir: Path | None, exc: Exception) -> None:
     report = {"error": str(exc), "type": type(exc).__name__}
-    if out_dir.is_dir():
+    if out_dir is not None and out_dir.is_dir():
         _write_json(out_dir / "error.json", report)
     print(json.dumps(report), file=sys.stderr)
 
@@ -426,10 +426,8 @@ def _labeled_bases(config: RunConfig, params_list: list[SystemParams]) -> list[D
     eta sweep at epsilon = 0 and from plain indices otherwise."""
     bases = [dressed_basis(p) for p in params_list]
     if config.sweep.parameter == "eta" and config.system.epsilon == 0.0:
-        initial = jc_initial_labels(params_list[0])
-    else:
-        initial = plain_labels(bases[0].dim)
-    return label_states(bases, initial)
+        return label_states(bases, jc_initial_labels(params_list[0], bases[0]))
+    return label_states(bases, plain_labels(bases[0].dim))
 
 
 def run_eigen(config: RunConfig, out_dir: Path, threads: int) -> None:
@@ -439,7 +437,7 @@ def run_eigen(config: RunConfig, out_dir: Path, threads: int) -> None:
 
     rows = [(value, str(i), str(j), li, lj, w)
             for value, basis in zip(values, bases)
-            for i, j, li, lj, w in build_transition_table(basis).rows(basis)]
+            for i, j, li, lj, w in build_transition_table(basis)]
     write_csv(out_dir / "transitions.csv",
               [sweep_col, "i", "j", "label_i", "label_j", "omega_ji"], rows)
 
@@ -632,8 +630,13 @@ RUNNERS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is reported like any other config error
+        raise ConfigInvalid(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="uscspec",
         description="Emission and reflectivity spectra of a flux-qubit/LC "
                     "circuit at arbitrary coupling strength.",
@@ -648,13 +651,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    out_dir = Path(args.out)
+    out_dir = None  # until --out is read, an error is reported on stderr only
     try:
+        args, extra = build_parser().parse_known_args(argv)
+        out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigInvalid(f"--out {args.out!r} is not a usable directory: {exc}") from exc
+        if extra:
+            raise ConfigInvalid(f"unrecognized arguments: {' '.join(extra)}")
         if args.config is None:
             raise ConfigInvalid("the --config argument is required")
         threads = int(args.threads) if str(args.threads).isdecimal() else 0

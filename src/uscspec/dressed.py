@@ -8,9 +8,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AmbiguousContinuation, DimensionMismatch, NotHermitian, UnknownLabel
+from .errors import AmbiguousContinuation, DimensionMismatch, UnknownLabel
 from .model import (
-    ModelKind,
     QubitFrame,
     SystemParams,
     SIGMA_Z,
@@ -109,38 +108,40 @@ def frequency_components(x_dressed: np.ndarray, which: str) -> np.ndarray:
     raise ValueError(f"which must be 'plus', 'minus' or 'zero', got {which!r}")
 
 
-@dataclass(frozen=True)
-class TransitionTable:
-    """Positive transition frequencies omega_ji = E_j - E_i (j > i) above OMEGA_MIN."""
-
-    i: np.ndarray
-    j: np.ndarray
-    omega: np.ndarray
-
-    def __len__(self) -> int:
-        return self.omega.size
-
-    def rows(self, basis: DressedBasis):
-        """(i, j, label_i, label_j, omega_ji) of each transition of the labeled ``basis``."""
-        for i, j, omega in zip(self.i.tolist(), self.j.tolist(), self.omega.tolist()):
-            yield i, j, basis.labels[i], basis.labels[j], omega
-
-
-def build_transition_table(basis: DressedBasis) -> TransitionTable:
+def build_transition_table(basis: DressedBasis) -> list[tuple]:
+    """(i, j, label_i, label_j, omega_ji) of each transition of the labeled
+    ``basis``: every j > i with omega_ji = E_j - E_i above OMEGA_MIN."""
     e = basis.energies
     ii, jj = np.triu_indices(e.size, k=1)
     om = e[jj] - e[ii]
     keep = om > OMEGA_MIN
-    return TransitionTable(i=ii[keep], j=jj[keep], omega=om[keep])
+    return [(i, j, basis.labels[i], basis.labels[j], omega)
+            for i, j, omega in zip(ii[keep].tolist(), jj[keep].tolist(), om[keep].tolist())]
 
 
-def jc_initial_labels(params: SystemParams) -> tuple[str, ...]:
-    """Labels for a near-decoupled zero-offset basis, seeded from the JC doublets.
+def _carry_labels(labels, from_vectors: np.ndarray,
+                  to_vectors: np.ndarray) -> tuple[tuple[str, ...], float]:
+    """The labels of the columns of ``to_vectors``, each taken from the column
+    of ``from_vectors`` it overlaps most in a one-to-one (maximal total
+    overlap) assignment, and the weakest overlap of that assignment."""
+    from scipy.optimize import linear_sum_assignment  # slow import; only labelling needs it
+
+    ov = np.abs(to_vectors.conj().T @ from_vectors) ** 2
+    row, col = linear_sum_assignment(-ov)
+    out = [""] * to_vectors.shape[1]
+    for r, c in zip(row, col):
+        out[r] = labels[c]
+    return tuple(out), float(ov[row, col].min())
+
+
+def jc_initial_labels(params: SystemParams, basis: DressedBasis) -> tuple[str, ...]:
+    """Labels of ``basis``, the dressed basis of ``params`` at zero offset with
+    its parity tie-break, seeded from the JC doublets.
 
     Diagonalizes the rotating-wave (Jaynes-Cummings) counterpart of the model
-    at the same coupling and matches its eigenstates to the full dressed states
-    by maximal overlap. Ground state is "0"; the doublet of excitation sector n
-    is labeled "n-", "n+" by ascending energy.
+    at the same coupling and matches its eigenstates to the vectors of
+    ``basis`` by maximal overlap. Ground state is "0"; the doublet of
+    excitation sector n is labeled "n-", "n+" by ascending energy.
     """
     n_fock = params.n_fock
     a = annihilation(params)
@@ -161,24 +162,11 @@ def jc_initial_labels(params: SystemParams) -> tuple[str, ...]:
     for sector in np.unique(n_exc):
         idx = np.flatnonzero(n_exc == sector)
         idx = idx[np.argsort(e_jc[idx], kind="stable")]
-        if sector == 0:
-            labels[idx[0]] = "0"
-        elif idx.size >= 2:
-            labels[idx[0]] = f"{sector}-"
-            labels[idx[1]] = f"{sector}+"
-            for extra, q in enumerate(idx[2:]):
-                labels[q] = f"{sector}+{extra + 2}"
-        else:
-            labels[idx[0]] = f"{sector}-"
-    from scipy.optimize import linear_sum_assignment  # slow import; only labelling needs it
-
-    basis = diagonalize(build_static_hamiltonian(params))
-    ov = np.abs(basis.vectors.conj().T @ v_jc) ** 2
-    row, col = linear_sum_assignment(-ov)
-    out = [""] * basis.dim
-    for r, c in zip(row, col):
-        out[r] = labels[c]
-    return tuple(out)
+        names = ["0"] if sector == 0 else [f"{sector}-", f"{sector}+"] + [
+            f"{sector}+{k}" for k in range(2, idx.size)]
+        for q, name in zip(idx, names):
+            labels[q] = name
+    return _carry_labels(labels, v_jc, basis.vectors)[0]
 
 
 def plain_labels(dim: int) -> tuple[str, ...]:
@@ -186,36 +174,24 @@ def plain_labels(dim: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(dim))
 
 
-def label_states(bases: list[DressedBasis], initial_labels=None) -> list[DressedBasis]:
+def label_states(bases: list[DressedBasis], initial_labels) -> list[DressedBasis]:
     """Assign continuation labels along an ordered parameter sweep.
 
-    The first basis receives ``initial_labels`` (plain indices when omitted);
-    each subsequent basis inherits labels by a maximal-overlap assignment with
-    the previous point. Overlaps below MIN_CONTINUATION_OVERLAP trigger an
-    AmbiguousContinuation warning but labeling proceeds.
+    The first basis receives ``initial_labels``; each subsequent basis
+    inherits labels by a maximal-overlap assignment with the previous point.
+    Overlaps below MIN_CONTINUATION_OVERLAP trigger an AmbiguousContinuation
+    warning but labeling proceeds.
     """
-    if not bases:
-        return []
-    from scipy.optimize import linear_sum_assignment  # slow import; only labelling needs it
-
-    labels = tuple(initial_labels) if initial_labels is not None else plain_labels(bases[0].dim)
-    out = [bases[0].with_labels(labels)]
+    out = [bases[0].with_labels(initial_labels)]
     for step, basis in enumerate(bases[1:], start=1):
-        prev = out[-1]
-        ov = np.abs(basis.vectors.conj().T @ prev.vectors) ** 2
-        row, col = linear_sum_assignment(-ov)
-        assigned = [""] * basis.dim
-        worst = 1.0
-        for r, c in zip(row, col):
-            assigned[r] = prev.labels[c]
-            worst = min(worst, ov[r, c])
+        labels, worst = _carry_labels(out[-1].labels, out[-1].vectors, basis.vectors)
         if worst < MIN_CONTINUATION_OVERLAP:
             warnings.warn(
                 f"sweep step {step}: weakest continuation overlap {worst:.3f} "
                 f"< {MIN_CONTINUATION_OVERLAP}",
                 AmbiguousContinuation,
             )
-        out.append(basis.with_labels(assigned))
+        out.append(basis.with_labels(labels))
     return out
 
 

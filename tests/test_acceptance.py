@@ -79,7 +79,8 @@ def _symmetric_label_sweep():
     etas = np.linspace(0.02, 1.5, 149)
     ps = [SystemParams(delta=1.0, epsilon=0.0, eta=float(e), n_fock=16)
           for e in etas]
-    bases = label_states([dressed_basis(p) for p in ps], jc_initial_labels(ps[0]))
+    bases = [dressed_basis(p) for p in ps]
+    bases = label_states(bases, jc_initial_labels(ps[0], bases[0]))
     return etas, ps, bases
 
 

@@ -29,7 +29,7 @@ from uscspec.steady import (
     steady_state,
 )
 
-from test_trace_hooks import CONFIGS  # tiny emission and reflectivity runs
+from test_trace_hooks import CONFIGS  # tiny runs of every mode
 
 GRID = np.linspace(0.05, 3.0, 60)
 SECULAR_CASES = [(eps, port) for eps in (0.0, 0.3)
@@ -152,7 +152,7 @@ def test_total_liouvillian_of_the_type_matches_its_matrix():
                                   total_liouvillian(basis, lg.matrix))
 
 
-@pytest.mark.parametrize("mode", sorted(CONFIGS))
+@pytest.mark.parametrize("mode", cli.SPECTRUM_MODES)
 def test_cli_spectra_never_build_the_dense_secular_generator(tmp_path, monkeypatch, mode):
     built = []
     secular = gme._secular_generator

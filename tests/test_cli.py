@@ -184,7 +184,8 @@ class TestMainExitCodes:
         ["--config", "CONFIG", "--threads", "x"],
         ["--config", "CONFIG", "--threads", "2.5"],
         [],
-    ], ids=["threads-x", "threads-fraction", "no-config"])
+        ["--config", "CONFIG", "--bogus"],
+    ], ids=["threads-x", "threads-fraction", "no-config", "unknown-flag"])
     def test_usage_error_exits_2_and_writes_error(self, tmp_path, capsys, tail):
         path = _write(tmp_path, _emission_config())
         out = tmp_path / "out"
@@ -194,6 +195,23 @@ class TestMainExitCodes:
         assert err["type"] == "ConfigInvalid"
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == err
         assert not (out / "emission_X_C.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["--config", "fig2"], ["bogus", "--config", "fig2"]],
+                             ids=["no-mode", "unknown-mode"])
+    def test_mode_error_exits_2_and_reports_on_stderr_only(self, tmp_path, monkeypatch,
+                                                           capsys, argv):
+        # without a mode no --out was read, so no error.json is written anywhere
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["type"] == "ConfigInvalid"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["-h"], ["emission", "-h"]], ids=["top", "mode"])
+    def test_help_exits_0(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
 
     def test_mode_mismatch_exits_2(self, tmp_path):
         path = _write(tmp_path, _emission_config())
@@ -416,6 +434,38 @@ class TestEigenRun:
         with open(out / "transitions.csv") as fh:
             t_rows = list(csv.DictReader(fh))
         assert all(float(r["omega_ji"]) > 0 for r in t_rows)
+
+    def test_labels_keep_their_sector_parity_at_deep_strong_coupling(self, tmp_path):
+        # the ground doublet and the doublets above it are degenerate to within
+        # DEGENERACY_TOL here; each label must sit on a vector of its JC
+        # sector's parity, (-1)^(n-1) for sector n and -1 for "0"
+        from uscspec.dressed import dressed_basis
+        from uscspec.model import parity_operator
+
+        cfg = {
+            "mode": "eigen",
+            "system": {"delta": 0.69, "epsilon": 0.0, "eta": 3.5, "n_fock": 60},
+            "baths": [{"which": "qubit", "gamma": 1e-2, "temperature": 0.0}],
+            "sweep": {"parameter": "eta", "start": 3.5, "stop": 3.6, "points": 3},
+        }
+        out = tmp_path / "out"
+        assert main(["eigen", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        with open(out / "energies.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        parity = parity_operator(60)
+        wrong = []
+        for eta in sorted({r["eta"] for r in rows}):
+            basis = dressed_basis(SystemParams(delta=0.69, epsilon=0.0, eta=float(eta),
+                                               n_fock=60))
+            for r in rows:
+                index = int(r["index"])
+                if r["eta"] != eta or index >= 20:
+                    continue
+                v = basis.vectors[:, index]
+                sector = int(r["label"].rstrip("+-").split("+")[0])
+                if np.real(v.conj() @ parity @ v) * (-1) ** (sector - 1) < 0.5:
+                    wrong.append((eta, index, r["label"]))
+        assert wrong == []
 
 
 class TestMatelemsRun:

@@ -108,9 +108,9 @@ class TestFrequencyComponents:
 class TestTransitionTable:
     def test_all_positive(self):
         basis = _basis(delta=1.0, epsilon=0.2, eta=0.9, n_fock=8)
-        table = build_transition_table(basis)
-        assert np.all(table.omega > 0)
-        assert len(table) == sum(
+        rows = build_transition_table(basis.with_labels(plain_labels(basis.dim)))
+        assert np.all(np.array([omega for *_, omega in rows]) > 0)
+        assert len(rows) == sum(
             1
             for i in range(basis.dim)
             for j in range(i + 1, basis.dim)
@@ -121,7 +121,7 @@ class TestTransitionTable:
         basis = _basis(delta=1.0, epsilon=0.0, eta=0.2, n_fock=3).with_labels(
             plain_labels(6)
         )
-        rows = list(build_transition_table(basis).rows(basis))
+        rows = build_transition_table(basis)
         assert rows[0][:2] == (0, 1)
         assert rows[0][2:4] == ("0", "1")
 
@@ -129,7 +129,7 @@ class TestTransitionTable:
 class TestLabeling:
     def test_jc_seed_labels(self):
         p = SystemParams(delta=1.0, epsilon=0.0, eta=1e-3, n_fock=6)
-        labels = jc_initial_labels(p)
+        labels = jc_initial_labels(p, dressed_basis(p))
         assert labels[0] == "0"
         assert set(labels[1:3]) == {"1-", "1+"}
         assert set(labels[3:5]) == {"2-", "2+"}
@@ -143,7 +143,7 @@ class TestLabeling:
         bases = [dressed_basis(p) for p in params]
         with warnings.catch_warnings():
             warnings.simplefilter("error", AmbiguousContinuation)
-            labeled = label_states(bases, jc_initial_labels(params[0]))
+            labeled = label_states(bases, jc_initial_labels(params[0], bases[0]))
         assert labeled[-1].labels is not None
         assert set(labeled[-1].labels) == set(labeled[0].labels)
 

@@ -2,7 +2,7 @@
 module attributes of ``uscspec`` by name. These tests run it on tiny
 configs so that a refactor which renames or bypasses a wrapped attribute
 fails here rather than silently dropping a layer from ``--trace 1``. The
-same configs check that a plain CLI run loads no scipy module."""
+spectrum-mode configs check that a plain CLI run loads no scipy module."""
 import json
 import os
 import subprocess
@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+
+from uscspec.cli import SPECTRUM_MODES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,10 +38,18 @@ CONFIGS = {
         "sweep": {"parameter": "epsilon", "start": 0.0, "stop": 0.3, "points": 2},
         "drive": {"b_in": 1e-4},
     },
+    # an eta sweep at epsilon 0 seeds its labels from the JC doublets
+    "eigen": {
+        "mode": "eigen",
+        "system": {"delta": 1.0, "epsilon": 0.0, "eta": 0.1, "n_fock": 4},
+        "baths": BATHS[1:],
+        "sweep": {"parameter": "eta", "start": 0.1, "stop": 0.5, "points": 3},
+    },
 }
 SPANS = {
     "emission": {"gme.build_s", "steady.solve_s", "spectra.emission_s"},
     "reflectivity": {"spectra.reflectivity_self_s", "gme.drive_s", "steady.floquet_s"},
+    "eigen": {"dressed.basis_s", "dressed.label_s"},
 }
 
 
@@ -64,7 +74,7 @@ def test_traced_run_records_every_layer(tmp_path, mode):
         assert payload["useful"] == {"gme.build": 1.0, "steady.floquet": 1.0}
 
 
-@pytest.mark.parametrize("mode", sorted(CONFIGS))
+@pytest.mark.parametrize("mode", SPECTRUM_MODES)  # labelling needs scipy.optimize
 def test_run_leaves_scipy_unloaded(tmp_path, mode):
     # importing scipy.linalg takes about as long as the whole fig6-reflectivity benchmark run
     config = tmp_path / "config.yaml"
