@@ -1,7 +1,7 @@
 """Command-line front end: config parsing, sweep orchestration, CSV output.
 
-Subcommands
------------
+Modes
+-----
 eigen         transition table (and energy sweep) for the static Hamiltonian
 emission      incoherent power-spectrum maps over an eta or epsilon sweep
 reflectivity  |S11| maps over (drive frequency x flux offset)
@@ -41,6 +41,7 @@ from .dressed import (
 from .errors import ConfigInvalid, SolverFailure, UscSpecError
 from .gme import (
     BathChannel,
+    ChannelKind,
     GmeConfig,
     build_gme,
     qubit_channel,
@@ -49,7 +50,6 @@ from .gme import (
 )
 from .model import (
     UNDEFINED_OUTPUT,
-    ModelKind,
     OutputKind,
     SystemParams,
     build_output_operator,
@@ -133,31 +133,29 @@ class DriveSpec:
 
 @dataclass(frozen=True)
 class OutputSpec:
-    normalization: str = "max_of_set"
+    normalization: Normalization = Normalization.MAX_OF_SET
     log_floor: float = 1e-6
 
     def __post_init__(self):
-        if self.normalization not in tuple(n.value for n in Normalization):
-            raise ConfigInvalid(f"unknown normalization {self.normalization!r}")
+        object.__setattr__(self, "normalization", Normalization(self.normalization))
         if not 0 < self.log_floor < 1:
             raise ConfigInvalid("log_floor must be in (0, 1)")
 
 
 @dataclass(frozen=True)
 class BathSpec:
-    which: str  # "resonator" | "qubit"
+    which: ChannelKind
     gamma: float
     temperature: float
     jump_kind: str | None = None  # resonator only; may be "match_probe"
 
     def __post_init__(self):
-        if self.which not in ("resonator", "qubit"):
-            raise ConfigInvalid(f"unknown bath kind {self.which!r}")
-        if self.which == "resonator" and self.jump_kind is None:
+        object.__setattr__(self, "which", ChannelKind(self.which))
+        if self.which == ChannelKind.RESONATOR and self.jump_kind is None:
             raise ConfigInvalid("resonator bath needs a jump_kind")
 
     def resolve(self, params: SystemParams, probe: OutputKind | None) -> BathChannel:
-        if self.which == "qubit":
+        if self.which == ChannelKind.QUBIT:
             return qubit_channel(self.gamma, self.temperature, params.delta)
         kind = self.jump_kind
         if kind == "match_probe":
@@ -192,7 +190,7 @@ class RunConfig:
     emission_method: str = "auto"  # "auto" | "solve" | "eig"; whole-L emission path only
 
     def __post_init__(self):
-        if self.mode not in ("eigen", "emission", "reflectivity", "matelems"):
+        if self.mode not in RUNNERS:
             raise ConfigInvalid(f"unknown mode {self.mode!r}")
         if self.mode == "reflectivity" and self.drive is None:
             raise ConfigInvalid("reflectivity mode requires a drive block")
@@ -211,9 +209,9 @@ class RunConfig:
                     f"reflectivity drive frequencies must be > 0, grid starts at {self.grid.start}"
                 )
             kinds = [b.which for b in self.baths]
-            if kinds.count("qubit") != 1 or kinds.count("resonator") != 1:
+            if kinds.count(ChannelKind.QUBIT) != 1 or kinds.count(ChannelKind.RESONATOR) != 1:
                 raise ConfigInvalid("reflectivity needs exactly one qubit and one resonator bath")
-            port = self.baths[kinds.index("resonator")]
+            port = self.baths[kinds.index(ChannelKind.RESONATOR)]
             if port.jump_kind != "match_probe":
                 raise ConfigInvalid(
                     f"reflectivity port jump_kind {port.jump_kind!r}: the port couples "
@@ -222,13 +220,12 @@ class RunConfig:
             for probe in self.probes:
                 if probe not in PROBE_COUPLING:
                     raise ConfigInvalid(f"probe {probe.value!r} has no port coupling rule")
-        _check_integer("system n_fock", self.system.n_fock)
         try:
             _, params_list = _sweep_params(self)
         except (TypeError, ValueError, UscSpecError) as exc:
             raise ConfigInvalid(f"invalid sweep point: {exc}") from exc
         if self.mode in SPECTRUM_MODES:
-            model_kind = ModelKind(self.system.model_kind)
+            model_kind = self.system.model_kind
             if UNDEFINED_OUTPUT[model_kind] in self.probes:
                 raise ConfigInvalid(f"probe {UNDEFINED_OUTPUT[model_kind].value!r} is not "
                                     f"defined for the {model_kind.value} model")
@@ -236,7 +233,7 @@ class RunConfig:
                 try:
                     bath.resolve(params, probe)
                 except (ValueError, UscSpecError) as exc:
-                    raise ConfigInvalid(f"invalid {bath.which} bath: {exc}") from exc
+                    raise ConfigInvalid(f"invalid {bath.which.value} bath: {exc}") from exc
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -269,16 +266,11 @@ def parse_config(raw: dict) -> RunConfig:
     sysblock = _require(raw, "system", "config")
     if not isinstance(sysblock, dict):
         raise ConfigInvalid(f"system block must be a mapping, got {sysblock!r}")
-    kind = sysblock.get("model_kind", "circuit")
-    try:
-        model_kind = ModelKind(kind)
-    except ValueError as exc:
-        raise ConfigInvalid(f"unknown model_kind {kind!r}") from exc
     unit = sysblock.get("omega_r", 1.0)
     if unit != 1.0:
         raise ConfigInvalid(f"omega_r is the frequency unit and must be 1.0, got {unit!r}")
     sysblock = {k: v for k, v in sysblock.items() if k != "omega_r"}
-    system = _block(SystemParams, {**sysblock, "model_kind": model_kind}, "system block")
+    system = _block(SystemParams, sysblock, "system block")
 
     bath_blocks = _require(raw, "baths", "config")
     if not isinstance(bath_blocks, list) or not bath_blocks:
@@ -471,8 +463,8 @@ def _point_rows(config: RunConfig, params: SystemParams, grid: np.ndarray,
     reflectivity probes that share a port coupling share its Floquet solves."""
     reflectivity = config.mode == "reflectivity"
     if reflectivity:
-        qubit = next(b for b in config.baths if b.which == "qubit").resolve(params, None)
-        port = next(b for b in config.baths if b.which == "resonator")
+        qubit = next(b for b in config.baths if b.which == ChannelKind.QUBIT).resolve(params, None)
+        port = next(b for b in config.baths if b.which == ChannelKind.RESONATOR)
     rows, basis, solved = [], None, {}
     for probe in config.probes:
         with _point_failure(config, params, probe):
@@ -510,7 +502,7 @@ def _sweep_maps(config: RunConfig, threads: int) -> tuple[np.ndarray, str, list]
 
 def _emission_rows(config: RunConfig, values: np.ndarray, grid: np.ndarray,
                    stack: np.ndarray) -> list[list]:
-    norm = Normalization(config.output.normalization)
+    norm = config.output.normalization
     if norm == Normalization.MAX_OF_SET:
         ref = float(np.abs(stack).max())
     rows = []
@@ -641,12 +633,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Emission and reflectivity spectra of a flux-qubit/LC "
                     "circuit at arbitrary coupling strength.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("eigen", "emission", "reflectivity", "matelems", "audit"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="YAML config path or bundled name (fig2, fig5, fig6)")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", default=1, help="worker processes for the sweep (default: 1)")
+    parser.add_argument("mode", choices=[*RUNNERS, "audit"])
+    parser.add_argument("--config", help="YAML config path or bundled name (fig2, fig5, fig6)")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--threads", default=1, help="worker processes for the sweep (default: 1)")
     return parser
 
 
@@ -667,11 +657,9 @@ def main(argv: list[str] | None = None) -> int:
         if threads < 1:
             raise ConfigInvalid(f"--threads must be an integer >= 1, got {args.threads!r}")
         config = load_config(args.config)
-        if args.command != "audit" and config.mode != args.command:
-            raise ConfigInvalid(
-                f"config mode {config.mode!r} does not match subcommand {args.command!r}"
-            )
-        runner = run_audit if args.command == "audit" else RUNNERS[args.command]
+        if args.mode != "audit" and config.mode != args.mode:
+            raise ConfigInvalid(f"config mode {config.mode!r} does not match mode {args.mode!r}")
+        runner = run_audit if args.mode == "audit" else RUNNERS[args.mode]
         runner(config, out_dir, threads)
     except ConfigInvalid as exc:
         write_error(out_dir, exc)

@@ -54,6 +54,7 @@ class BathChannel:
     jump_kind: OutputKind | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "which", ChannelKind(self.which))
         # chained comparisons, so that NaN and inf fail them too
         if not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
@@ -122,43 +123,18 @@ class SecularGenerator:
 
 @dataclass(frozen=True, eq=False)
 class Commutator:
-    """rho -> coefficient [x, rho]. It has no arithmetic and no ``__array__``:
-    ``matrix`` builds the dense d^2 x d^2 array, and ``@`` applies it to
-    vec(rho), or to a stack of such columns, in O(d^3) per column."""
+    """rho -> coefficient [x, rho]. It has no arithmetic, no ``__array__`` and
+    no dense form: ``@`` applies it to vec(rho), or to a stack of such
+    columns, in O(d^3) per column."""
 
     x: np.ndarray
     coefficient: complex
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.coefficient * (spre(self.x) - spost(self.x))
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         d = self.x.shape[0]
         rho = np.moveaxis(v.reshape(d, d, -1), -1, 0)  # one d x d matrix per column
         out = self.coefficient * (self.x @ rho - rho @ self.x)
         return np.moveaxis(out, 0, -1).reshape(v.shape)
-
-
-def spre(x: np.ndarray) -> np.ndarray:
-    d = x.shape[0]
-    return np.kron(x, np.eye(d, dtype=complex))
-
-
-def spost(y: np.ndarray) -> np.ndarray:
-    d = y.shape[0]
-    return np.kron(np.eye(d, dtype=complex), y.T)
-
-
-def sandwich(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The superoperator of rho -> X rho Y."""
-    return np.kron(x, y.T)
-
-
-def dissipator(op: np.ndarray) -> np.ndarray:
-    """Lindblad dissipator D[L] rho = L rho L^dag - {L^dag L, rho} / 2."""
-    ldl = op.conj().T @ op
-    return sandwich(op, op.conj().T) - 0.5 * spre(ldl) - 0.5 * spost(ldl)
 
 
 def thermal_occupation(omega, temperature: float):
@@ -319,7 +295,7 @@ def _filtered_dissipator(j: np.ndarray, w: np.ndarray, g: np.ndarray, b: float) 
     # (J^dag J)_ab = conj(J[c, a]) J[c, b], filtered on (w[c, a], w[c, b])
     f3 = gaussian_filter(w[:, :, None], w[:, None, :], b)
     k = np.einsum("ca,cb,cab->ab", j.conj(), j, f3 * g[:, None, :])
-    # minus K rho and rho K^dag, on the diagonal views of spre(K) and spost(K^dag)
+    # minus K rho and rho K^dag, on the diagonal views of kron(K, 1) and kron(1, conj(K))
     np.einsum("abcb->abc", sup)[...] -= k[:, None, :]
     np.einsum("abad->abd", sup)[...] -= k.conj()[None, :, :]
     return sup.reshape(d * d, d * d)

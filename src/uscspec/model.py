@@ -13,7 +13,8 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -27,7 +28,6 @@ from .errors import (
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 HERMITICITY_TOL = 1e-12
@@ -65,6 +65,7 @@ class SystemParams:
     model_kind: ModelKind = ModelKind.CIRCUIT
 
     def __post_init__(self):
+        object.__setattr__(self, "model_kind", ModelKind(self.model_kind))
         # chained comparisons, so that NaN and inf fail them too
         if not 0 <= self.delta < math.inf:
             raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
@@ -72,6 +73,8 @@ class SystemParams:
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if not 0 <= self.eta < math.inf:
             raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
+        if isinstance(self.n_fock, bool) or not isinstance(self.n_fock, numbers.Integral):
+            raise ValueError(f"n_fock must be an integer, got {self.n_fock!r}")
         if self.n_fock < 2:
             raise CutoffTooSmall(f"n_fock must be >= 2, got {self.n_fock}")
         qubit_frequency(self.delta, self.epsilon)
@@ -169,11 +172,6 @@ def build_static_hamiltonian(params: SystemParams) -> np.ndarray:
     return h
 
 
-def fock_phase_rotation(n_fock: int) -> np.ndarray:
-    """Unitary implementing a -> i a (diag((-i)^n) on the Fock register)."""
-    return fock_op(np.diag((-1j) ** np.arange(n_fock)))
-
-
 # the output operator each model kind does not define
 UNDEFINED_OUTPUT = {ModelKind.CIRCUIT: OutputKind.CAVITY_D,
                     ModelKind.CAVITY_QED: OutputKind.INDUCTIVE_M}
@@ -190,9 +188,8 @@ def build_output_operator(kind: OutputKind, params: SystemParams) -> np.ndarray:
       derivative)
     - a_plus_adag = a + a^dag            (bare quadrature probe)
     """
-    model_kind = ModelKind(params.model_kind)
-    if kind == UNDEFINED_OUTPUT[model_kind]:
-        raise KindMismatch(f"{kind.value} is not defined for the {model_kind.value} model")
+    if kind == UNDEFINED_OUTPUT[params.model_kind]:
+        raise KindMismatch(f"{kind.value} is not defined for the {params.model_kind.value} model")
     frame = QubitFrame.from_params(params)
     a = annihilation(params)
     stx = sigma_tilde_x(frame, params.n_fock)

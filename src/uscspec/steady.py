@@ -101,8 +101,9 @@ def steady_state(l: np.ndarray | SecularGenerator) -> np.ndarray:
         vec = vec / tr
         if s[-2] < NULLSPACE_GAP_TOL:
             raise DegenerateSteadyState(
-                f"Liouvillian null space not unique (sigma_2 = {s[-2]:.3e}); "
-                "at zero offset the parity sectors each carry a stationary state"
+                f"Liouvillian null space not unique (sigma_2 = {s[-2]:.3e}): more than one "
+                "stationary state, e.g. decoupled parity sectors at epsilon = 0 "
+                "or an undamped level"
             )
     residual = np.linalg.norm(l @ vec)
     if not residual <= STEADY_RESIDUAL_TOL:

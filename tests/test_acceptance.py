@@ -27,10 +27,8 @@ from uscspec.gme import (
     build_drive_superoperators,
     build_gme,
     channel_operator,
-    dissipator,
     qubit_channel,
     resonator_channel,
-    thermal_occupation,
     total_liouvillian,
 )
 from uscspec.model import (
@@ -39,7 +37,6 @@ from uscspec.model import (
     SystemParams,
     build_output_operator,
     build_static_hamiltonian,
-    fock_phase_rotation,
 )
 from uscspec.spectra import (
     _s11,
@@ -48,6 +45,8 @@ from uscspec.spectra import (
     reflectivity_spectrum,
 )
 from uscspec.steady import floquet_harmonics, steady_state
+
+from reference import fock_phase_rotation, pairwise_lindblad
 
 
 @contextmanager
@@ -166,23 +165,10 @@ def test_criterion_03_secular_limit_matches_lindblad_oracle(capsys):
         ]
         lm = build_gme(basis, channels, GmeConfig(filter_b=0.0), params)
 
-        from uscspec.gme import channel_operator
-
-        d = params.dim
-        ref = np.zeros((d * d, d * d), dtype=complex)
-        for ch, (_, gamma, temp, ref_freq) in zip(channels, specs):
-            x = basis.to_dressed(channel_operator(ch, params))
-            for i in range(d):
-                for j in range(d):
-                    w = basis.energies[j] - basis.energies[i]
-                    if w <= 1e-9:
-                        continue
-                    jump = np.zeros((d, d), dtype=complex)
-                    jump[i, j] = x[i, j]
-                    rate = gamma * w / ref_freq
-                    n_th = thermal_occupation(w, temp)
-                    ref += rate * (n_th + 1) * dissipator(jump)
-                    ref += rate * n_th * dissipator(jump.conj().T)
+        ref = sum(pairwise_lindblad(basis.energies,
+                                    basis.to_dressed(channel_operator(ch, params)),
+                                    gamma, temp, ref_freq)
+                  for ch, (_, gamma, temp, ref_freq) in zip(channels, specs))
         # the zero-bias qubit channel carries no dephasing term, so the full
         # generator is the pairwise Lindblad sum
         dev = np.abs(lm.matrix - ref).max()

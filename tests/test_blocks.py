@@ -12,7 +12,6 @@ from uscspec import cli, gme
 from uscspec.dressed import dressed_basis, frequency_components
 from uscspec.errors import DegenerateSteadyState, NoConvergence, UscSpecError
 from uscspec.gme import (
-    Commutator,
     GmeConfig,
     SecularGenerator,
     build_drive_superoperators,
@@ -166,7 +165,6 @@ def test_cli_spectra_never_build_the_dense_secular_generator(tmp_path, monkeypat
 
     monkeypatch.setattr(gme, "_secular_generator", counted)
     monkeypatch.setattr(SecularGenerator, "matrix", property(refuse))
-    monkeypatch.setattr(Commutator, "matrix", property(refuse))
     config = tmp_path / "config.yaml"
     config.write_text(yaml.safe_dump(CONFIGS[mode]))
     argv = [mode, "--config", str(config), "--out", str(tmp_path / "out"), "--threads", "1"]

@@ -31,8 +31,9 @@ from uscspec.cli import (
     resolved_dict,
 )
 from uscspec.errors import ConfigInvalid, NoConvergence
-from uscspec.gme import GmeConfig
+from uscspec.gme import ChannelKind, GmeConfig
 from uscspec.model import OutputKind, SystemParams
+from uscspec.spectra import Normalization
 
 
 def _emission_config(**overrides):
@@ -142,6 +143,11 @@ class TestConfigParsing:
         assert cfg.gme.filter_b == 0.0
         assert cfg.emission_method == "auto"
 
+    def test_enumerated_inputs_are_stored_converted(self):
+        cfg = parse_config(_emission_config(output={"normalization": "raw"}))
+        assert cfg.output.normalization is Normalization.RAW_ARBITRARY
+        assert [type(b.which) for b in cfg.baths] == [ChannelKind, ChannelKind]
+
 
 class TestThreadResolution:
     def test_nonpositive_rejected(self, tmp_path):
@@ -206,6 +212,24 @@ class TestMainExitCodes:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["type"] == "ConfigInvalid"
         assert list(tmp_path.iterdir()) == []
+
+    def test_missing_mode_is_named(self, capsys):
+        assert main(["--config", "fig2"]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "the following arguments are required: mode",
+                       "type": "ConfigInvalid"}
+
+    def test_undamped_levels_exit_3_without_blaming_zero_offset(self, tmp_path):
+        # no bath damps anything, so every level is stationary; the offset is 0.2
+        cfg = _emission_config(sweep={"parameter": "none"})
+        cfg["system"]["epsilon"] = 0.2
+        for bath in cfg["baths"]:
+            bath["gamma"] = 0.0
+        out = tmp_path / "out"
+        assert main(["emission", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 3
+        err = json.loads((out / "error.json").read_text())
+        assert "sigma_2" in err["error"]
+        assert "more than one stationary state" in err["error"]
 
     @pytest.mark.parametrize("argv", [["-h"], ["emission", "-h"]], ids=["top", "mode"])
     def test_help_exits_0(self, argv):

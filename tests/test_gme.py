@@ -6,18 +6,16 @@ from hypothesis import strategies as st
 from uscspec import gme
 from uscspec.dressed import dressed_basis, frequency_components
 from uscspec.gme import (
+    BathChannel,
     ChannelKind,
     GmeConfig,
     _dephasing_rates,
     build_drive_superoperators,
     build_gme,
     channel_operator,
-    dissipator,
     gaussian_filter,
     qubit_channel,
     resonator_channel,
-    spost,
-    spre,
     thermal_occupation,
     total_liouvillian,
 )
@@ -31,6 +29,8 @@ from uscspec.model import (
     SIGMA_X,
 )
 from uscspec.steady import steady_state
+
+from reference import commutator_matrix, dissipator, pairwise_lindblad, spost, spre
 
 
 def _vec(rho):
@@ -193,19 +193,7 @@ class TestSecularOracle:
 
         x = basis.to_dressed(build_output_operator(OutputKind.CAPACITIVE_C,
                                                    params))
-        d = params.dim
-        ref = np.zeros((d * d, d * d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                w = basis.energies[j] - basis.energies[i]
-                if w <= 1e-9:
-                    continue
-                jump = np.zeros((d, d), dtype=complex)
-                jump[i, j] = x[i, j]
-                rate = gamma * w
-                n_th = thermal_occupation(w, temp)
-                ref += rate * (n_th + 1) * dissipator(jump)
-                ref += rate * n_th * dissipator(jump.conj().T)
+        ref = pairwise_lindblad(basis.energies, x, gamma, temp, 1.0)  # omega_r = 1
         np.testing.assert_allclose(lm.matrix, ref, atol=1e-12)
 
 
@@ -368,8 +356,8 @@ class TestDriveSuperoperators:
         lp, lmn = build_drive_superoperators(x, rate_gamma=1e-3, b_in=0.0,
                                              phase=0.0, omega_d=1.0,
                                              coupling_sign=+1)
-        assert np.abs(lp.matrix).max() == 0.0
-        assert np.abs(lmn.matrix).max() == 0.0
+        assert np.abs(commutator_matrix(lp)).max() == 0.0
+        assert np.abs(commutator_matrix(lmn)).max() == 0.0
 
     def test_harmonic_pair_adjoint_pairing(self):
         # (L+ rho)^dagger == L- (rho^dagger): the two sidebands together keep
@@ -393,22 +381,24 @@ class TestDriveSuperoperators:
                                              coupling_sign=+1)
         d = params.dim
         ident = np.eye(d).reshape(-1)
-        assert np.abs(ident @ lp.matrix).max() < 1e-14
-        assert np.abs(ident @ lmn.matrix).max() < 1e-14
+        assert np.abs(ident @ commutator_matrix(lp)).max() < 1e-14
+        assert np.abs(ident @ commutator_matrix(lmn)).max() < 1e-14
 
     def test_coupling_sign_flips_drive(self):
         _, x = self._x()
         kw = dict(rate_gamma=1e-3, b_in=0.05, phase=0.0, omega_d=0.9)
         lp_cap, _ = build_drive_superoperators(x, coupling_sign=+1, **kw)
         lp_ind, _ = build_drive_superoperators(x, coupling_sign=-1, **kw)
-        np.testing.assert_allclose(lp_cap.matrix, -lp_ind.matrix, atol=1e-16)
+        np.testing.assert_allclose(commutator_matrix(lp_cap), -commutator_matrix(lp_ind),
+                                   atol=1e-16)
 
     def test_linear_in_amplitude(self):
         _, x = self._x()
         kw = dict(rate_gamma=1e-3, phase=0.2, omega_d=1.1, coupling_sign=+1)
         lp1, _ = build_drive_superoperators(x, b_in=0.01, **kw)
         lp3, _ = build_drive_superoperators(x, b_in=0.03, **kw)
-        np.testing.assert_allclose(lp3.matrix, 3.0 * lp1.matrix, atol=1e-15)
+        np.testing.assert_allclose(commutator_matrix(lp3), 3.0 * commutator_matrix(lp1),
+                                   atol=1e-15)
 
     def test_commutator_applies_its_matrix(self):
         params, x = self._x()
@@ -420,10 +410,11 @@ class TestDriveSuperoperators:
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         stack = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
         for op in (lp, lmn):
-            np.testing.assert_allclose(op @ v, op.matrix @ v, rtol=1e-13, atol=1e-16)
-            np.testing.assert_allclose(op @ stack, op.matrix @ stack, rtol=1e-13, atol=1e-16)
+            dense = commutator_matrix(op)
+            np.testing.assert_allclose(op @ v, dense @ v, rtol=1e-13, atol=1e-16)
+            np.testing.assert_allclose(op @ stack, dense @ stack, rtol=1e-13, atol=1e-16)
             # a stack handed over as the transpose of its rows, as the Floquet solve does
-            np.testing.assert_allclose(op @ stack.T.copy().T, op.matrix @ stack,
+            np.testing.assert_allclose(op @ stack.T.copy().T, dense @ stack,
                                        rtol=1e-13, atol=1e-16)
 
     def test_commutator_matrix_is_the_kron_form(self):
@@ -436,11 +427,18 @@ class TestDriveSuperoperators:
                                                  coupling_sign=sign)
             amp = 0.05 * np.sqrt(1e-3 * 0.9 / 1.0)
             comm = np.kron(x, eye) - np.kron(eye, x.T)
-            np.testing.assert_array_equal(lp.matrix, sign * amp * np.exp(1j * phase) * comm)
-            np.testing.assert_array_equal(lmn.matrix, -sign * amp * np.exp(-1j * phase) * comm)
+            np.testing.assert_array_equal(commutator_matrix(lp),
+                                          sign * amp * np.exp(1j * phase) * comm)
+            np.testing.assert_array_equal(commutator_matrix(lmn),
+                                          -sign * amp * np.exp(-1j * phase) * comm)
 
 
 class TestChannelOperator:
+    def test_unknown_kind_rejected_and_known_kind_converted(self):
+        with pytest.raises(ValueError):
+            BathChannel("resonatr", 1e-3, 0.0, 1.0, OutputKind.CAPACITIVE_C)
+        assert BathChannel("qubit", 1e-2, 0.1, 1.0).which is ChannelKind.QUBIT
+
     def test_resonator_channel_operator_matches_jump_kind(self):
         params = SystemParams(delta=1.0, epsilon=0.0, eta=0.6, n_fock=5)
         ch = resonator_channel(gamma=1e-3, temperature=0.0,

@@ -12,7 +12,6 @@ from uscspec.errors import (
 )
 from uscspec.model import (
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     ModelKind,
     OutputKind,
@@ -22,7 +21,6 @@ from uscspec.model import (
     assert_hermitian,
     build_output_operator,
     build_static_hamiltonian,
-    fock_phase_rotation,
     heisenberg_derivative,
     parity_operator,
     qubit_frequency,
@@ -30,6 +28,8 @@ from uscspec.model import (
     sigma_tilde_x,
     sigma_tilde_x_2x2,
 )
+
+from reference import SIGMA_Y, fock_phase_rotation
 
 
 def interior_mask(dim: int, n_fock: int) -> np.ndarray:
@@ -61,6 +61,21 @@ def test_non_finite_system_params_rejected(field, value):
     kwargs = {"delta": 1.0, "epsilon": 0.0, "eta": 0.5, field: value}
     with pytest.raises(ValueError, match="finite"):
         SystemParams(**kwargs)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("model_kind", "cavity"), ("n_fock", 4.5), ("n_fock", 6.0), ("n_fock", True),
+])
+def test_unknown_kind_and_non_integer_cutoff_rejected(field, value):
+    with pytest.raises(ValueError):
+        SystemParams(delta=1.0, epsilon=0.0, eta=0.5, **{field: value})
+
+
+def test_kind_is_stored_converted_and_numpy_cutoff_accepted():
+    p = SystemParams(delta=1.0, epsilon=0.0, eta=0.5, n_fock=np.int64(6),
+                     model_kind="cavity_qed")
+    assert p.model_kind is ModelKind.CAVITY_QED
+    assert build_static_hamiltonian(p).shape == (12, 12)
 
 
 class TestSigmaTildeX:

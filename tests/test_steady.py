@@ -22,6 +22,8 @@ from uscspec.steady import (
     steady_state,
 )
 
+from reference import commutator_matrix
+
 
 def _liouvillian(eta=0.6, epsilon=0.0, n_fock=6, t_r=0.0, t_q=0.1):
     params = SystemParams(delta=1.0, epsilon=epsilon, eta=eta, n_fock=n_fock)
@@ -127,8 +129,8 @@ def _stacked_harmonics(lm, lp, lmn, omega_d, order, d):
     n = d * d
     size = (2 * order + 1) * n
     lm = getattr(lm, "matrix", lm)
-    lp = getattr(lp, "matrix", lp)
-    lmn = getattr(lmn, "matrix", lmn)
+    lp = commutator_matrix(lp)
+    lmn = commutator_matrix(lmn)
     big = np.zeros((size, size), dtype=complex)
     for i, k in enumerate(range(-order, order + 1)):
         rows = slice(i * n, (i + 1) * n)

@@ -2,7 +2,8 @@
 module attributes of ``uscspec`` by name. These tests run it on tiny
 configs so that a refactor which renames or bypasses a wrapped attribute
 fails here rather than silently dropping a layer from ``--trace 1``. The
-spectrum-mode configs check that a plain CLI run loads no scipy module."""
+spectrum-mode configs check that a plain CLI run loads no scipy module, and
+the benchmark's oracle self-checks run here against the package as it is."""
 import json
 import os
 import subprocess
@@ -87,3 +88,17 @@ def test_run_leaves_scipy_unloaded(tmp_path, mode):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 []"
+
+
+def test_benchmark_self_checks_pass(monkeypatch):
+    # perfbench/run.py checks its oracle against the package before any timed
+    # run, through DressedBasis, build_gme, reflectivity_spectrum and
+    # SecularGenerator.matrix; an API change that breaks those calls breaks
+    # the benchmark, so it must fail here too
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import run
+
+    for config in run.WORKLOADS.values():
+        run.check_generator(config)  # raises BenchError past its bound
+    report = run.check_linear_response(run.WORKLOADS["fig6-reflectivity"])
+    assert report["gap_weak"] <= run.REFLECTIVITY_TOL / 10
