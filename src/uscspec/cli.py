@@ -23,7 +23,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +52,6 @@ from .model import (
     OutputKind,
     SystemParams,
     build_output_operator,
-    build_static_hamiltonian,
-    heisenberg_derivative,
 )
 from .spectra import (
     PROBE_COUPLING,
@@ -147,25 +144,26 @@ class BathSpec:
     which: ChannelKind
     gamma: float
     temperature: float
-    jump_kind: str | None = None  # resonator only; may be "match_probe"
+    jump_kind: OutputKind | str | None = None  # resonator only; may be "match_probe"
 
     def __post_init__(self):
         object.__setattr__(self, "which", ChannelKind(self.which))
-        if self.which == ChannelKind.RESONATOR and self.jump_kind is None:
-            raise ConfigInvalid("resonator bath needs a jump_kind")
-
-    def resolve(self, params: SystemParams, probe: OutputKind | None) -> BathChannel:
         if self.which == ChannelKind.QUBIT:
-            return qubit_channel(self.gamma, self.temperature, params.delta)
-        kind = self.jump_kind
-        if kind == "match_probe":
-            if probe is None:
-                raise ConfigInvalid("jump_kind match_probe requires a probe")
-            kind = PROBE_COUPLING.get(probe, (probe, 0))[0].value
-        try:
-            jump = OutputKind(kind)
-        except ValueError as exc:
-            raise ConfigInvalid(f"unknown jump_kind {kind!r}") from exc
+            if self.jump_kind is not None:
+                raise ConfigInvalid("a qubit bath takes no jump_kind")
+        elif self.jump_kind is None:
+            raise ConfigInvalid("resonator bath needs a jump_kind")
+        elif self.jump_kind != "match_probe":
+            object.__setattr__(self, "jump_kind", OutputKind(self.jump_kind))
+
+    def resolve(self, system: SystemParams, probe: OutputKind | None) -> BathChannel:
+        """The channel for ``probe`` (read by a match_probe port only) at every
+        point of a sweep of ``system``: no channel reads eta or epsilon."""
+        if self.which == ChannelKind.QUBIT:
+            return qubit_channel(self.gamma, self.temperature, system.delta)
+        jump = self.jump_kind
+        if jump == "match_probe":
+            jump = PROBE_COUPLING.get(probe, (probe, 0))[0]
         return resonator_channel(self.gamma, self.temperature, jump)
 
 
@@ -213,27 +211,27 @@ class RunConfig:
                 raise ConfigInvalid("reflectivity needs exactly one qubit and one resonator bath")
             port = self.baths[kinds.index(ChannelKind.RESONATOR)]
             if port.jump_kind != "match_probe":
-                raise ConfigInvalid(
-                    f"reflectivity port jump_kind {port.jump_kind!r}: the port couples "
-                    "through the probe's operator, so it must be match_probe"
-                )
+                raise ConfigInvalid(f"reflectivity port jump_kind {port.jump_kind.value!r} must "
+                                    "be match_probe: the port couples through its probe")
             for probe in self.probes:
                 if probe not in PROBE_COUPLING:
                     raise ConfigInvalid(f"probe {probe.value!r} has no port coupling rule")
         try:
-            _, params_list = _sweep_params(self)
+            _sweep_params(self)
         except (TypeError, ValueError, UscSpecError) as exc:
             raise ConfigInvalid(f"invalid sweep point: {exc}") from exc
-        if self.mode in SPECTRUM_MODES:
-            model_kind = self.system.model_kind
-            if UNDEFINED_OUTPUT[model_kind] in self.probes:
-                raise ConfigInvalid(f"probe {UNDEFINED_OUTPUT[model_kind].value!r} is not "
-                                    f"defined for the {model_kind.value} model")
-            for params, probe, bath in product(params_list, self.probes, self.baths):
+        outputs = [*self.probes, *(kind for _, kind, _ in self.matelems.operators)]
+        for bath in self.baths:
+            for probe in self.probes if bath.jump_kind == "match_probe" else [None]:
                 try:
-                    bath.resolve(params, probe)
+                    outputs.append(bath.resolve(self.system, probe).jump_kind)
                 except (ValueError, UscSpecError) as exc:
                     raise ConfigInvalid(f"invalid {bath.which.value} bath: {exc}") from exc
+        model_kind = self.system.model_kind
+        if UNDEFINED_OUTPUT[model_kind] in outputs:
+            raise ConfigInvalid(f"{UNDEFINED_OUTPUT[model_kind].value} is not defined for the "
+                                f"{model_kind.value} model: no probe, bath or matelems operator "
+                                "may couple through it")
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -351,15 +349,12 @@ def resolved_dict(config: RunConfig) -> dict:
 # deterministic output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
+            fh.write(",".join(v if isinstance(v, str) else format(float(v), ".17g")
+                               for v in row) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -406,11 +401,10 @@ def _parallel_map(fn, items, threads: int) -> list:
 
 def _sweep_params(config: RunConfig) -> tuple[np.ndarray, list[SystemParams]]:
     values = config.sweep.values()
-    if config.sweep.parameter == "eta":
-        return values, [replace(config.system, eta=float(v)) for v in values]
-    if config.sweep.parameter == "epsilon":
-        return values, [replace(config.system, epsilon=float(v)) for v in values]
-    return values, [config.system] * len(values)
+    if config.sweep.parameter == "none":
+        return values, [config.system] * len(values)
+    return values, [replace(config.system, **{config.sweep.parameter: float(v)})
+                    for v in values]
 
 
 def _labeled_bases(config: RunConfig, params_list: list[SystemParams]) -> list[DressedBasis]:
@@ -436,7 +430,7 @@ def run_eigen(config: RunConfig, out_dir: Path, threads: int) -> None:
     energy_rows = []
     for value, basis in zip(values, bases):
         for idx, (energy, label) in enumerate(zip(basis.energies, basis.labels)):
-            energy_rows.append((value, _fmt(idx), label, energy))
+            energy_rows.append((value, str(idx), label, energy))
     write_csv(out_dir / "energies.csv",
               [sweep_col, "index", "label", "energy_over_omega_r"], energy_rows)
     write_manifest(out_dir, config)
@@ -463,7 +457,8 @@ def _point_rows(config: RunConfig, params: SystemParams, grid: np.ndarray,
     reflectivity probes that share a port coupling share its Floquet solves."""
     reflectivity = config.mode == "reflectivity"
     if reflectivity:
-        qubit = next(b for b in config.baths if b.which == ChannelKind.QUBIT).resolve(params, None)
+        qubit = next(b for b in config.baths
+                     if b.which == ChannelKind.QUBIT).resolve(config.system, None)
         port = next(b for b in config.baths if b.which == ChannelKind.RESONATOR)
     rows, basis, solved = [], None, {}
     for probe in config.probes:
@@ -477,7 +472,7 @@ def _point_rows(config: RunConfig, params: SystemParams, grid: np.ndarray,
             else:
                 if basis is None:
                     basis = dressed_basis(params)
-                channels = [b.resolve(params, probe) for b in config.baths]
+                channels = [b.resolve(config.system, probe) for b in config.baths]
                 lg = build_gme(basis, channels, config.gme, params)
                 l_total = total_liouvillian(basis, lg)
                 rho = steady_state(l_total)
@@ -544,15 +539,19 @@ def run_matelems(config: RunConfig, out_dir: Path, threads: int) -> None:
         raise ConfigInvalid("matelems mode needs matelems.operators and .transitions")
     values, params_list = _sweep_params(config)
     bases = _labeled_bases(config, params_list)
+    # continuation only permutes labels, so every point carries the first's
+    for label in (label for pair in config.matelems.transitions for label in pair):
+        if label not in bases[0].labels:
+            raise ConfigInvalid(f"matelems transition label {label!r} names no state")
 
     operators = {}
     for name, kind, derivative in config.matelems.operators:
         mats = []
         for params, basis in zip(params_list, bases):
-            x = build_output_operator(kind, params)
             if derivative:
-                x = heisenberg_derivative(x, build_static_hamiltonian(params))
-            mats.append(basis.to_dressed(x))
+                mats.append(emission_probe(params, kind, basis))
+            else:
+                mats.append(basis.to_dressed(build_output_operator(kind, params)))
         operators[name] = mats
 
     write_csv(out_dir / "matrix_elements.csv",
@@ -664,7 +663,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigInvalid as exc:
         write_error(out_dir, exc)
         return 2
-    except (SolverFailure, UscSpecError) as exc:
+    except UscSpecError as exc:
         write_error(out_dir, exc)
         return 3
     return 0

@@ -147,6 +147,26 @@ class TestConfigParsing:
         cfg = parse_config(_emission_config(output={"normalization": "raw"}))
         assert cfg.output.normalization is Normalization.RAW_ARBITRARY
         assert [type(b.which) for b in cfg.baths] == [ChannelKind, ChannelKind]
+        assert cfg.baths[0].jump_kind == "match_probe"
+        explicit = _emission_config()
+        explicit["baths"][0]["jump_kind"] = "X_C"
+        assert parse_config(explicit).baths[0].jump_kind is OutputKind.CAPACITIVE_C
+
+    @pytest.mark.parametrize("bath, named", [
+        ({"which": "resonator", "gamma": 1e-3, "temperature": 0.0, "jump_kind": "X_Q"}, "X_Q"),
+        ({"which": "resonator", "gamma": 1e-3, "temperature": 0.0, "jump_kind": "X_D"}, "X_D"),
+        ({"which": "qubit", "gamma": -1e-2, "temperature": 0.0}, "gamma"),
+    ], ids=["unknown-port-kind", "circuit-x-d-port", "negative-qubit-gamma"])
+    def test_eigen_config_checks_its_baths(self, bath, named):
+        # eigen builds no bath, yet the config is checked whole: X_Q names no
+        # operator, X_D is not defined for the circuit model, and no rate is < 0
+        cfg = {
+            "mode": "eigen",
+            "system": {"delta": 1.0, "epsilon": 0.0, "eta": 0.4, "n_fock": 4},
+            "baths": [bath],
+        }
+        with pytest.raises(ConfigInvalid, match=named):
+            parse_config(cfg)
 
 
 class TestThreadResolution:
@@ -276,11 +296,18 @@ class TestMainExitCodes:
         lambda c: c.update(sweep={"parameter": "none", "points": 5}),
         lambda c: c["system"].update(omega_r=2.0),
         lambda c: c.update(labeling="index"),
+        lambda c: c.update(probes=["a_plus_adag"]) or c["system"].update(model_kind="cavity_qed"),
+        lambda c: c["baths"][0].update(jump_kind="X_D"),
+        lambda c: c["baths"][1].update(jump_kind="X_C"),
+        lambda c: c.update(matelems={"operators": [{"name": "x", "kind": "X_D"}],
+                                     "transitions": [["0", "1-"]]}),
     ], ids=["grid-key", "grid-empty-span", "fractional-points", "bath-gamma",
             "matelems-kind", "system-scalar", "negative-eta", "gme-omega-min",
             "negative-port-gamma", "negative-qubit-temperature", "fractional-n-fock",
             "fractional-floquet-order", "cavity-qed-x-m", "circuit-x-d",
-            "no-sweep-with-points", "omega-r-not-one", "labeling-key"])
+            "no-sweep-with-points", "omega-r-not-one", "labeling-key",
+            "cavity-qed-quadrature-port", "circuit-x-d-port", "qubit-jump-kind",
+            "matelems-undefined-kind"])
     def test_malformed_config_exits_2(self, tmp_path, mutate):
         cfg = _emission_config()
         cfg["system"]["n_fock"] = 4
@@ -331,8 +358,12 @@ class TestMainExitCodes:
         ]},
         {"drive": {"b_in": 1e-4, "floquet_order": 2.5}},
         {"grid": {"start": 0.0, "stop": 1.0, "points": 3}},
+        {"system": {"delta": 0.69, "epsilon": 0.0, "eta": 1.01, "n_fock": 4,
+                    "model_kind": "cavity_qed"},
+         "probes": ["a_plus_adag"]},
     ], ids=["eta-sweep", "two-ports", "port-jump-kind", "negative-qubit-temperature",
-            "fractional-floquet-order", "drive-frequency-at-zero"])
+            "fractional-floquet-order", "drive-frequency-at-zero",
+            "cavity-qed-quadrature-port"])
     def test_reflectivity_rules_hold_for_audit(self, tmp_path, command, overrides):
         path = _write(tmp_path, _reflectivity_config(**overrides))
         out = tmp_path / "out"
@@ -507,6 +538,19 @@ class TestMatelemsRun:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3 * 2
         assert {r["operator"] for r in rows} == {"xdot_m"}
+
+    def test_unknown_label_exits_2_and_writes_no_csv(self, tmp_path):
+        cfg = _emission_config(mode="matelems")
+        cfg["matelems"] = {
+            "operators": [{"name": "xdot_m", "kind": "X_M"}],
+            "transitions": [["0", "9+x"]],
+        }
+        out = tmp_path / "out"
+        assert main(["matelems", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "ConfigInvalid"
+        assert "'9+x'" in err["error"]
+        assert not (out / "matrix_elements.csv").exists()
 
 
 class TestAuditRun:

@@ -46,11 +46,23 @@ CONFIGS = {
         "baths": BATHS[1:],
         "sweep": {"parameter": "eta", "start": 0.1, "stop": 0.5, "points": 3},
     },
+    "matelems": {
+        "mode": "matelems",
+        "system": {"delta": 1.0, "epsilon": 0.0, "eta": 0.1, "n_fock": 4},
+        "baths": BATHS[1:],
+        "sweep": {"parameter": "eta", "start": 0.1, "stop": 0.5, "points": 3},
+        "matelems": {
+            "operators": [{"name": "xdot_c", "kind": "X_C"},
+                          {"name": "x_m", "kind": "X_M", "derivative": False}],
+            "transitions": [["0", "1-"], ["0", "1+"]],
+        },
+    },
 }
 SPANS = {
     "emission": {"gme.build_s", "steady.solve_s", "spectra.emission_s"},
     "reflectivity": {"spectra.reflectivity_self_s", "gme.drive_s", "steady.floquet_s"},
     "eigen": {"dressed.basis_s", "dressed.label_s"},
+    "matelems": {"dressed.basis_s", "dressed.label_s", "spectra.probe_s"},
 }
 
 
