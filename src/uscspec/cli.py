@@ -197,6 +197,11 @@ class RunConfig:
                 raise ConfigInvalid(f"{self.mode} mode requires at least one probe")
             if self.grid is None:
                 raise ConfigInvalid(f"{self.mode} mode requires a grid block")
+        if len(set(self.probes)) < len(self.probes):
+            raise ConfigInvalid(f"duplicate probe in {[p.value for p in self.probes]}")
+        names = [name for name, _, _ in self.matelems.operators]
+        if any(names.count(name) > 1 for name in names):
+            raise ConfigInvalid(f"duplicate matelems operator name in {names}")
         if self.emission_method not in ("auto", "solve", "eig"):
             raise ConfigInvalid(f"unknown emission_method {self.emission_method!r}")
         if self.mode == "reflectivity":
@@ -275,19 +280,15 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigInvalid("baths must be a non-empty list")
     baths = tuple(_block(BathSpec, b, "bath") for b in bath_blocks)
 
-    gme = _block(GmeConfig, raw.get("gme", {}), "gme block")
-
     probes = []
     for name in raw.get("probes", []):
         try:
             probes.append(OutputKind(name))
         except ValueError as exc:
             raise ConfigInvalid(f"unknown probe {name!r}") from exc
-
-    grid = _block(GridSpec, raw["grid"], "grid block") if "grid" in raw else None
-    sweep = _block(SweepSpec, raw["sweep"], "sweep block") if "sweep" in raw else SweepSpec("none")
-    drive = _block(DriveSpec, raw["drive"], "drive block") if "drive" in raw else None
-    output = _block(OutputSpec, raw.get("output", {}), "output block")
+    blocks = {key: _block(cls, raw[key], f"{key} block") for key, cls in
+              {"gme": GmeConfig, "grid": GridSpec, "sweep": SweepSpec, "drive": DriveSpec,
+               "output": OutputSpec}.items() if key in raw}
 
     me_raw = raw.get("matelems", {})
     try:
@@ -300,19 +301,9 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigInvalid(f"invalid matelems block: {exc!r}") from exc
     matelems = MatElemSpec(operators=operators, transitions=transitions)
 
-    return RunConfig(
-        mode=_require(raw, "mode", "config"),
-        system=system,
-        baths=baths,
-        gme=gme,
-        probes=tuple(probes),
-        grid=grid,
-        sweep=sweep,
-        drive=drive,
-        output=output,
-        matelems=matelems,
-        emission_method=raw.get("emission_method", "auto"),
-    )
+    return RunConfig(mode=_require(raw, "mode", "config"), system=system, baths=baths,
+                     probes=tuple(probes), matelems=matelems,
+                     emission_method=raw.get("emission_method", "auto"), **blocks)
 
 
 def load_config(name_or_path: str) -> RunConfig:

@@ -99,9 +99,10 @@ class SecularGenerator:
     """The secular layout of a generator: populations follow the rate matrix
     ``rates`` (rates[f, i] the rate of i -> f, columns summing to 0), and
     rho_ab, a != b, decays alone at ``coherence[a, b]`` (its diagonal is not
-    read). It has no arithmetic and no ``__array__``: ``matrix`` builds the
-    dense d^2 x d^2 array, and ``@`` applies L to vec(rho), or to a stack of
-    such columns, in O(d^2)."""
+    read). It has no arithmetic and no ``__array__``: ``@`` applies L to
+    vec(rho), or to a stack of such columns, in O(d^2), and ``matrix`` builds
+    the dense d^2 x d^2 array, which no solver reads: tests and the
+    benchmark's self-check compare against it."""
 
     rates: np.ndarray
     coherence: np.ndarray

@@ -19,26 +19,6 @@ HARMONIC_GMRES_TOL = 1e-15
 NULLSPACE_GAP_TOL = 1e-10
 
 
-def _trace_one_solve(lm: np.ndarray) -> np.ndarray | None:
-    """Solve L vec = 0 with its last row replaced by the trace row.
-
-    The last row is the population rho_{d-1,d-1}: trace preservation makes
-    the population rows of L sum to zero, so dropping one of them loses
-    nothing. Returns None when that matrix is singular.
-    """
-    n = lm.shape[0]
-    d = int(round(n**0.5))
-    m = lm.copy()
-    m[-1, :] = 0.0
-    m[-1, :: d + 1] = 1.0
-    rhs = np.zeros(n, dtype=complex)
-    rhs[-1] = 1.0
-    try:
-        return np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _gth_stationary(w: np.ndarray) -> np.ndarray | None:
     """Stationary distribution of a rate matrix, W[f, i] the rate of i -> f,
     by GTH elimination (Grassmann, Taksar and Heyman, Oper. Res. 33, 1107
@@ -66,49 +46,62 @@ def _gth_stationary(w: np.ndarray) -> np.ndarray | None:
     return p / p.sum()
 
 
+def _bordered_null_vector(m: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    """The v with m v = 0 and trace @ v = 1, for m a trace-preserving
+    generator: m with its last row, a population row (the population rows
+    sum to zero, so it is redundant), replaced by the trace row, solved
+    directly; if that is singular or leaves |m v| above STEADY_RESIDUAL_TOL,
+    the smallest right singular vector of m, scaled to trace one."""
+    bordered = m.copy()
+    bordered[-1] = trace
+    rhs = np.zeros(m.shape[0], dtype=m.dtype)
+    rhs[-1] = 1.0
+    try:
+        v = np.linalg.solve(bordered, rhs)
+        if np.linalg.norm(m @ v) <= STEADY_RESIDUAL_TOL:  # False if v is not finite
+            return v
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        _, s, vh = np.linalg.svd(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"steady-state SVD failed: {exc}") from exc
+    v = vh[-1].conj()
+    tr = trace @ v
+    if abs(tr) < 1e-14:
+        raise DegenerateSteadyState("null vector is traceless; degenerate sectors suspected")
+    v = v / tr
+    if s[-2] < NULLSPACE_GAP_TOL:
+        raise DegenerateSteadyState(
+            f"Liouvillian null space not unique (sigma_2 = {s[-2]:.3e}): more than one "
+            "stationary state, e.g. decoupled parity sectors at epsilon = 0 "
+            "or an undamped level"
+        )
+    residual = np.linalg.norm(m @ v)
+    if not residual <= STEADY_RESIDUAL_TOL:
+        raise NoConvergence(f"steady-state residual {residual:.3e} > {STEADY_RESIDUAL_TOL:.1e}")
+    return v
+
+
 def steady_state(l: np.ndarray | SecularGenerator) -> np.ndarray:
     """Unique trace-one steady state of a trace-preserving Liouvillian.
 
-    A ``SecularGenerator`` takes GTH elimination of its rate matrix, checked
-    against the whole L. A dense L, or one whose GTH stops or fails that
-    check (as ``l.matrix``), takes L vec(rho) = 0 with its last row replaced
-    by the trace row, solved directly, and if that is ill-conditioned the
-    smallest right singular vector of L.
+    The steady state of a ``SecularGenerator`` lies wholly in its
+    populations: GTH elimination of its rate matrix W, checked by |W p| (the
+    coherence rows of L vec(diag p) are exactly zero), or if GTH stops or
+    fails that check, the bordered solve of W with the trace row of ones. A
+    dense L takes the bordered solve of L with the trace row vec(I). Either
+    falls back to the SVD of the same matrix, whose null space must be one
+    dimensional (DegenerateSteadyState).
     """
-
-    def converged(v):
-        return (v is not None and np.isfinite(v).all()
-                and np.linalg.norm(l @ v) <= STEADY_RESIDUAL_TOL)
-
     if isinstance(l, SecularGenerator):
         p = _gth_stationary(l.rates)
-        rho = None if p is None else np.diag(p).astype(complex)
-        if rho is not None and converged(rho.reshape(-1)):
-            return rho / np.trace(rho).real
-        l = l.matrix
+        if p is None or not np.linalg.norm(l.rates @ p) <= STEADY_RESIDUAL_TOL:
+            p = _bordered_null_vector(l.rates, np.ones(l.rates.shape[0]))
+        rho = np.diag(p).astype(complex)
+        return rho / np.trace(rho).real
     d = int(round(l.shape[0] ** 0.5))
-    vec = _trace_one_solve(l)
-    if not converged(vec):
-        # fall back to the null vector from an SVD of L itself
-        try:
-            _, s, vh = np.linalg.svd(l)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"steady-state SVD failed: {exc}") from exc
-        vec = vh[-1].conj()
-        tr = vec[:: d + 1].sum()
-        if abs(tr) < 1e-14:
-            raise DegenerateSteadyState("null vector is traceless; degenerate sectors suspected")
-        vec = vec / tr
-        if s[-2] < NULLSPACE_GAP_TOL:
-            raise DegenerateSteadyState(
-                f"Liouvillian null space not unique (sigma_2 = {s[-2]:.3e}): more than one "
-                "stationary state, e.g. decoupled parity sectors at epsilon = 0 "
-                "or an undamped level"
-            )
-    residual = np.linalg.norm(l @ vec)
-    if not residual <= STEADY_RESIDUAL_TOL:
-        raise NoConvergence(f"steady-state residual {residual:.3e} > {STEADY_RESIDUAL_TOL:.1e}")
-    rho = vec.reshape(d, d)
+    rho = _bordered_null_vector(l, np.eye(d).reshape(-1)).reshape(d, d)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
 
@@ -200,8 +193,7 @@ def _undriven_inverse(l: np.ndarray | SecularGenerator, shift: np.ndarray, order
     n = l.shape[0]
     d = int(round(n**0.5))
     blocks = l + shift[:, None, None] * np.eye(n)
-    blocks[order, -1] = 0.0
-    blocks[order, -1, :: d + 1] = 1.0
+    blocks[order, -1] = np.eye(d).reshape(-1)
     from scipy.linalg import get_lapack_funcs  # here, so that importing the CLI loads no scipy
 
     getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (blocks,))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from uscspec import cli, gme
+from uscspec import cli, gme, steady
 from uscspec.dressed import dressed_basis, frequency_components
 from uscspec.errors import DegenerateSteadyState, NoConvergence, UscSpecError
 from uscspec.gme import (
@@ -206,6 +206,39 @@ def test_population_block_is_nonnegative_and_matches_dense():
     assert (pops >= 0).all()
     large = dense > 1e-8
     np.testing.assert_allclose(pops[large], dense[large], rtol=1e-9, atol=0)
+
+
+def _refuse_dense(self):
+    raise AssertionError("the steady state built the d^2 x d^2 generator")
+
+
+def test_population_fallback_solves_w_alone(monkeypatch):
+    # fig2 at eta = 1.5, X_C port, with GTH made to stop: the bordered solve
+    # of the population block W must agree with GTH
+    _, _, lm = _generator(0.0, OutputKind.CAPACITIVE_C, eta=1.5, n_fock=20)
+    gth = np.diag(steady_state(lm)).real
+    monkeypatch.setattr(steady, "_gth_stationary", lambda w: None)
+    monkeypatch.setattr(SecularGenerator, "matrix", property(_refuse_dense))
+    rho = steady_state(lm)
+    assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_array_equal(rho - np.diag(np.diag(rho)), 0.0)
+    large = gth > 1e-8
+    np.testing.assert_allclose(np.diag(rho).real[large], gth[large], rtol=1e-9, atol=0)
+
+
+def test_undamped_levels_raise_without_building_the_dense_generator(monkeypatch):
+    # no bath damps anything at offset 0.2, so every level is stationary
+    params = SystemParams(delta=1.0, epsilon=0.2, eta=0.8, n_fock=20)
+    basis = dressed_basis(params)
+    channels = [
+        resonator_channel(gamma=0.0, temperature=0.0, jump_kind=OutputKind.CAPACITIVE_C),
+        qubit_channel(gamma=0.0, temperature=0.1, delta=params.delta),
+    ]
+    lm = total_liouvillian(basis, build_gme(basis, channels, GmeConfig(), params))
+    assert isinstance(lm, SecularGenerator)
+    monkeypatch.setattr(SecularGenerator, "matrix", property(_refuse_dense))
+    with pytest.raises(DegenerateSteadyState, match="sigma_2"):
+        steady_state(lm)
 
 
 def test_gth_stationary_birth_death_chain_and_reducible_chain():

@@ -301,13 +301,18 @@ class TestMainExitCodes:
         lambda c: c["baths"][1].update(jump_kind="X_C"),
         lambda c: c.update(matelems={"operators": [{"name": "x", "kind": "X_D"}],
                                      "transitions": [["0", "1-"]]}),
+        lambda c: c.update(probes=["X_C", "X_C"]),
+        lambda c: c.update(matelems={"operators": [{"name": "x", "kind": "X_C"},
+                                                   {"name": "x", "kind": "X_M",
+                                                    "derivative": False}],
+                                     "transitions": [["0", "1-"]]}),
     ], ids=["grid-key", "grid-empty-span", "fractional-points", "bath-gamma",
             "matelems-kind", "system-scalar", "negative-eta", "gme-omega-min",
             "negative-port-gamma", "negative-qubit-temperature", "fractional-n-fock",
             "fractional-floquet-order", "cavity-qed-x-m", "circuit-x-d",
             "no-sweep-with-points", "omega-r-not-one", "labeling-key",
             "cavity-qed-quadrature-port", "circuit-x-d-port", "qubit-jump-kind",
-            "matelems-undefined-kind"])
+            "matelems-undefined-kind", "duplicate-probe", "duplicate-matelems-name"])
     def test_malformed_config_exits_2(self, tmp_path, mutate):
         cfg = _emission_config()
         cfg["system"]["n_fock"] = 4
