@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -66,6 +67,7 @@ from .steady import steady_state
 SPECTRUM_MODES = ("emission", "reflectivity")
 ENERGY_AUDIT_TOL = 1e-7
 SPECTRUM_AUDIT_TOL = 1e-6
+_INPUT_ERRORS = (KeyError, TypeError, ValueError, UscSpecError)  # what a malformed input raises
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +125,9 @@ class DriveSpec:
     floquet_order: int = 2
 
     def __post_init__(self):
-        if self.b_in <= 0:
-            raise ConfigInvalid(f"drive b_in must be > 0, got {self.b_in}")
+        if not (self.b_in > 0 and -np.inf < self.phase < np.inf):  # NaN fails both
+            raise ConfigInvalid(f"drive b_in must be > 0 and phase finite, got b_in={self.b_in}, "
+                                f"phase={self.phase!r}")
         _check_integer("drive floquet_order", self.floquet_order)
 
 
@@ -148,6 +151,8 @@ class BathSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "which", ChannelKind(self.which))
+        # a port with no probe to match (eigen, matelems) never resolves: check its rates here
+        resonator_channel(self.gamma, self.temperature, OutputKind.INDUCTIVE_M)
         if self.which == ChannelKind.QUBIT:
             if self.jump_kind is not None:
                 raise ConfigInvalid("a qubit bath takes no jump_kind")
@@ -169,8 +174,25 @@ class BathSpec:
 
 @dataclass(frozen=True)
 class MatElemSpec:
-    operators: tuple = ()  # of (name, kind, derivative) triples
+    operators: tuple = ()  # of (name, kind, derivative) triples, read from mappings
     transitions: tuple = ()  # of (label_i, label_j) pairs
+
+    def __post_init__(self):
+        operators = []
+        for op in self.operators:
+            full = {"derivative": True, **op}  # a TypeError unless op is a mapping
+            if (set(full) != {"name", "kind", "derivative"} or not isinstance(full["name"], str)
+                    or not isinstance(full["derivative"], bool)):
+                raise ValueError("a matelems operator has a name (a string), a kind and "
+                                 f"derivative true or false (default true), got {op!r}")
+            if any(full["name"] == name for name, _, _ in operators):
+                raise ValueError(f"duplicate matelems operator name {full['name']!r}")
+            operators.append((full["name"], OutputKind(full["kind"]), full["derivative"]))
+        if not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in self.transitions):
+            raise ValueError(f"matelems transitions must be label pairs, got {self.transitions!r}")
+        object.__setattr__(self, "operators", tuple(operators))
+        object.__setattr__(self, "transitions",
+                           tuple(tuple(map(str, pair)) for pair in self.transitions))
 
 
 @dataclass(frozen=True)
@@ -188,8 +210,14 @@ class RunConfig:
     emission_method: str = "auto"  # "auto" | "solve" | "eig"; whole-L emission path only
 
     def __post_init__(self):
-        if self.mode not in RUNNERS:
+        if not isinstance(self.mode, str) or self.mode not in RUNNERS:
             raise ConfigInvalid(f"unknown mode {self.mode!r}")
+        if not isinstance(self.probes, (list, tuple)):
+            raise ConfigInvalid(f"probes must be a list, got {self.probes!r}")
+        try:
+            object.__setattr__(self, "probes", tuple(map(OutputKind, self.probes)))
+        except ValueError as exc:
+            raise ConfigInvalid(f"unknown probe: {exc}") from exc
         if self.mode == "reflectivity" and self.drive is None:
             raise ConfigInvalid("reflectivity mode requires a drive block")
         if self.mode in ("emission", "reflectivity"):
@@ -197,11 +225,10 @@ class RunConfig:
                 raise ConfigInvalid(f"{self.mode} mode requires at least one probe")
             if self.grid is None:
                 raise ConfigInvalid(f"{self.mode} mode requires a grid block")
+        if self.mode == "matelems" and not (self.matelems.operators and self.matelems.transitions):
+            raise ConfigInvalid("matelems mode needs matelems.operators and .transitions")
         if len(set(self.probes)) < len(self.probes):
             raise ConfigInvalid(f"duplicate probe in {[p.value for p in self.probes]}")
-        names = [name for name, _, _ in self.matelems.operators]
-        if any(names.count(name) > 1 for name in names):
-            raise ConfigInvalid(f"duplicate matelems operator name in {names}")
         if self.emission_method not in ("auto", "solve", "eig"):
             raise ConfigInvalid(f"unknown emission_method {self.emission_method!r}")
         if self.mode == "reflectivity":
@@ -223,14 +250,14 @@ class RunConfig:
                     raise ConfigInvalid(f"probe {probe.value!r} has no port coupling rule")
         try:
             _sweep_params(self)
-        except (TypeError, ValueError, UscSpecError) as exc:
+        except _INPUT_ERRORS as exc:
             raise ConfigInvalid(f"invalid sweep point: {exc}") from exc
         outputs = [*self.probes, *(kind for _, kind, _ in self.matelems.operators)]
         for bath in self.baths:
             for probe in self.probes if bath.jump_kind == "match_probe" else [None]:
                 try:
                     outputs.append(bath.resolve(self.system, probe).jump_kind)
-                except (ValueError, UscSpecError) as exc:
+                except _INPUT_ERRORS as exc:
                     raise ConfigInvalid(f"invalid {bath.which.value} bath: {exc}") from exc
         model_kind = self.system.model_kind
         if UNDEFINED_OUTPUT[model_kind] in outputs:
@@ -255,7 +282,7 @@ def _block(cls, block, context: str):
             raise ConfigInvalid(f"{context} {key} must be finite, got {value!r}")
     try:
         return cls(**block)
-    except (TypeError, ValueError, UscSpecError) as exc:
+    except _INPUT_ERRORS as exc:
         raise ConfigInvalid(f"invalid {context}: {exc}") from exc
 
 
@@ -280,30 +307,20 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigInvalid("baths must be a non-empty list")
     baths = tuple(_block(BathSpec, b, "bath") for b in bath_blocks)
 
-    probes = []
-    for name in raw.get("probes", []):
-        try:
-            probes.append(OutputKind(name))
-        except ValueError as exc:
-            raise ConfigInvalid(f"unknown probe {name!r}") from exc
     blocks = {key: _block(cls, raw[key], f"{key} block") for key, cls in
               {"gme": GmeConfig, "grid": GridSpec, "sweep": SweepSpec, "drive": DriveSpec,
-               "output": OutputSpec}.items() if key in raw}
-
-    me_raw = raw.get("matelems", {})
-    try:
-        operators = tuple(
-            (op["name"], OutputKind(op["kind"]), bool(op.get("derivative", True)))
-            for op in me_raw.get("operators", [])
-        )
-        transitions = tuple((str(t[0]), str(t[1])) for t in me_raw.get("transitions", []))
-    except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ConfigInvalid(f"invalid matelems block: {exc!r}") from exc
-    matelems = MatElemSpec(operators=operators, transitions=transitions)
-
+               "output": OutputSpec, "matelems": MatElemSpec}.items() if key in raw}
     return RunConfig(mode=_require(raw, "mode", "config"), system=system, baths=baths,
-                     probes=tuple(probes), matelems=matelems,
+                     probes=raw.get("probes", ()),
                      emission_method=raw.get("emission_method", "auto"), **blocks)
+
+
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1, except that a float may be written without a dot (1e-3), as in YAML 1.2."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?[0-9]+(\.[0-9]*)?[eE][-+]?[0-9]+$"), list("-+0123456789"))
 
 
 def load_config(name_or_path: str) -> RunConfig:
@@ -319,7 +336,7 @@ def load_config(name_or_path: str) -> RunConfig:
             )
         text = ref.read_text()
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigInvalid(f"config is not valid YAML: {exc}") from exc
     return parse_config(raw)
@@ -418,10 +435,8 @@ def run_eigen(config: RunConfig, out_dir: Path, threads: int) -> None:
     write_csv(out_dir / "transitions.csv",
               [sweep_col, "i", "j", "label_i", "label_j", "omega_ji"], rows)
 
-    energy_rows = []
-    for value, basis in zip(values, bases):
-        for idx, (energy, label) in enumerate(zip(basis.energies, basis.labels)):
-            energy_rows.append((value, str(idx), label, energy))
+    energy_rows = [(value, str(idx), label, energy) for value, basis in zip(values, bases)
+                   for idx, (energy, label) in enumerate(zip(basis.energies, basis.labels))]
     write_csv(out_dir / "energies.csv",
               [sweep_col, "index", "label", "energy_over_omega_r"], energy_rows)
     write_manifest(out_dir, config)
@@ -507,7 +522,7 @@ def _emission_rows(config: RunConfig, values: np.ndarray, grid: np.ndarray,
 def run_spectra(config: RunConfig, out_dir: Path, threads: int) -> None:
     """Emission or reflectivity: every sweep point is evaluated before any
     CSV is written, so a failing point leaves no partial output."""
-    values = config.sweep.values()
+    values, params_list = _sweep_params(config)
     grid, method, maps = _sweep_maps(config, threads)
     sweep_col = (f"{config.sweep.parameter}_over_omega_r"
                  if config.sweep.parameter != "none" else "point")
@@ -518,7 +533,7 @@ def run_spectra(config: RunConfig, out_dir: Path, threads: int) -> None:
             rows = _emission_rows(config, values, grid, stack)
         else:
             header = ["omega_d_over_omega_r", "epsilon_over_omega_r", "S11"]
-            rows = [(wd, value, s11) for value, row in zip(values, stack)
+            rows = [(wd, params.epsilon, s11) for params, row in zip(params_list, stack)
                     for wd, s11 in zip(grid, row)]
         write_csv(out_dir / f"{config.mode}_{probe.value}.csv", header, rows)
     write_manifest(out_dir, config,
@@ -526,8 +541,6 @@ def run_spectra(config: RunConfig, out_dir: Path, threads: int) -> None:
 
 
 def run_matelems(config: RunConfig, out_dir: Path, threads: int) -> None:
-    if not config.matelems.operators or not config.matelems.transitions:
-        raise ConfigInvalid("matelems mode needs matelems.operators and .transitions")
     values, params_list = _sweep_params(config)
     bases = _labeled_bases(config, params_list)
     # continuation only permutes labels, so every point carries the first's
@@ -535,15 +548,10 @@ def run_matelems(config: RunConfig, out_dir: Path, threads: int) -> None:
         if label not in bases[0].labels:
             raise ConfigInvalid(f"matelems transition label {label!r} names no state")
 
-    operators = {}
-    for name, kind, derivative in config.matelems.operators:
-        mats = []
-        for params, basis in zip(params_list, bases):
-            if derivative:
-                mats.append(emission_probe(params, kind, basis))
-            else:
-                mats.append(basis.to_dressed(build_output_operator(kind, params)))
-        operators[name] = mats
+    operators = {name: [emission_probe(params, kind, basis) if derivative
+                        else basis.to_dressed(build_output_operator(kind, params))
+                        for params, basis in zip(params_list, bases)]
+                 for name, kind, derivative in config.matelems.operators}
 
     write_csv(out_dir / "matrix_elements.csv",
               ["sweep_value", "i_label", "j_label", "operator", "abs_sq"],

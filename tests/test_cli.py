@@ -93,6 +93,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigInvalid, match="probe"):
             parse_config(_emission_config(probes=["X_Q"]))
 
+    def test_scalar_probes_rejected_as_not_a_list(self):
+        # iterating "X_C" would name the probes X, _ and C
+        with pytest.raises(ConfigInvalid, match="probes must be a list, got 'X_C'"):
+            parse_config(_emission_config(probes="X_C"))
+
+    @pytest.mark.parametrize("text, value", [
+        ("1e-3", 1e-3), ("2E+1", 20.0), ("-5e2", -500.0), ("1.5e3", 1500.0), ("1.0e-3", 1e-3),
+    ])
+    def test_floats_without_a_dot_load_as_numbers(self, tmp_path, text, value):
+        # YAML 1.1 reads 1e-3 (no dot) and 1.5e3 (unsigned exponent) as strings
+        cfg = _emission_config()
+        cfg["system"]["epsilon"] = "EPSILON"
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg).replace("EPSILON", text))
+        assert load_config(str(path)).system.epsilon == value
+
     def test_invalid_system_rejected(self):
         cfg = _emission_config()
         cfg["system"]["n_fock"] = -3
@@ -156,7 +172,11 @@ class TestConfigParsing:
         ({"which": "resonator", "gamma": 1e-3, "temperature": 0.0, "jump_kind": "X_Q"}, "X_Q"),
         ({"which": "resonator", "gamma": 1e-3, "temperature": 0.0, "jump_kind": "X_D"}, "X_D"),
         ({"which": "qubit", "gamma": -1e-2, "temperature": 0.0}, "gamma"),
-    ], ids=["unknown-port-kind", "circuit-x-d-port", "negative-qubit-gamma"])
+        ({"which": "qubit", "gamma": None, "temperature": 0.0}, "NoneType"),
+        ({"which": "resonator", "gamma": -1e-3, "temperature": 0.0,
+          "jump_kind": "match_probe"}, "gamma"),
+    ], ids=["unknown-port-kind", "circuit-x-d-port", "negative-qubit-gamma", "null-qubit-gamma",
+            "negative-unmatched-port-gamma"])
     def test_eigen_config_checks_its_baths(self, bath, named):
         # eigen builds no bath, yet the config is checked whole: X_Q names no
         # operator, X_D is not defined for the circuit model, and no rate is < 0
@@ -306,13 +326,20 @@ class TestMainExitCodes:
                                                    {"name": "x", "kind": "X_M",
                                                     "derivative": False}],
                                      "transitions": [["0", "1-"]]}),
+        lambda c: c["baths"][1].update(gamma=None),
+        lambda c: c["baths"][0].update(gamma="fast"),
+        lambda c: c.update(probes="X_C"),
+        lambda c: c.update(probes=None),
+        lambda c: c.update(mode=["emission"]),
     ], ids=["grid-key", "grid-empty-span", "fractional-points", "bath-gamma",
             "matelems-kind", "system-scalar", "negative-eta", "gme-omega-min",
             "negative-port-gamma", "negative-qubit-temperature", "fractional-n-fock",
             "fractional-floquet-order", "cavity-qed-x-m", "circuit-x-d",
             "no-sweep-with-points", "omega-r-not-one", "labeling-key",
             "cavity-qed-quadrature-port", "circuit-x-d-port", "qubit-jump-kind",
-            "matelems-undefined-kind", "duplicate-probe", "duplicate-matelems-name"])
+            "matelems-undefined-kind", "duplicate-probe", "duplicate-matelems-name",
+            "null-bath-gamma", "non-numeric-port-gamma", "scalar-probes", "null-probes",
+            "list-mode"])
     def test_malformed_config_exits_2(self, tmp_path, mutate):
         cfg = _emission_config()
         cfg["system"]["n_fock"] = 4
@@ -362,12 +389,13 @@ class TestMainExitCodes:
             {"which": "qubit", "gamma": 5e-3, "temperature": -0.55},
         ]},
         {"drive": {"b_in": 1e-4, "floquet_order": 2.5}},
+        {"drive": {"b_in": 1e-4, "phase": None}},
         {"grid": {"start": 0.0, "stop": 1.0, "points": 3}},
         {"system": {"delta": 0.69, "epsilon": 0.0, "eta": 1.01, "n_fock": 4,
                     "model_kind": "cavity_qed"},
          "probes": ["a_plus_adag"]},
     ], ids=["eta-sweep", "two-ports", "port-jump-kind", "negative-qubit-temperature",
-            "fractional-floquet-order", "drive-frequency-at-zero",
+            "fractional-floquet-order", "null-drive-phase", "drive-frequency-at-zero",
             "cavity-qed-quadrature-port"])
     def test_reflectivity_rules_hold_for_audit(self, tmp_path, command, overrides):
         path = _write(tmp_path, _reflectivity_config(**overrides))
@@ -418,6 +446,19 @@ class TestEmissionRun:
         s = np.array([float(r["S_normalized"]) for r in rows])
         assert s.max() == pytest.approx(1.0)
         assert s.min() >= 0.0
+
+    def test_float_without_a_dot_writes_the_same_bytes(self, tmp_path):
+        text = yaml.safe_dump(_emission_config())
+        assert "gamma: 0.001" in text
+        outputs = []
+        for written in ("1.0e-3", "1e-3"):
+            path = tmp_path / f"{written}.yaml"
+            path.write_text(text.replace("gamma: 0.001", f"gamma: {written}"))
+            out = tmp_path / written
+            assert main(["emission", "--config", str(path), "--out", str(out)]) == 0
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+        assert "emission_X_C.csv" in outputs[0]
 
     def test_probes_share_one_dressed_basis_per_point(self, tmp_path, monkeypatch):
         calls = []
@@ -474,6 +515,18 @@ class TestEmissionRun:
         assert main(["emission", "--config", path, "--out", str(out)]) == 3
         assert json.loads((out / "error.json").read_text())["type"] == "SolverFailure"
         assert not list(out.glob("emission_*.csv"))
+
+
+class TestReflectivityRun:
+    def test_run_without_a_sweep_writes_the_system_offset(self, tmp_path):
+        cfg = _reflectivity_config(sweep={"parameter": "none"})
+        cfg["system"]["epsilon"] = 0.6
+        out = tmp_path / "out"
+        assert main(["reflectivity", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        for probe in ("X_M", "a_plus_adag"):
+            with open(out / f"reflectivity_{probe}.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [float(r["epsilon_over_omega_r"]) for r in rows] == [0.6, 0.6]
 
 
 class TestEigenRun:
@@ -556,6 +609,52 @@ class TestMatelemsRun:
         assert err["type"] == "ConfigInvalid"
         assert "'9+x'" in err["error"]
         assert not (out / "matrix_elements.csv").exists()
+
+
+    @pytest.mark.parametrize("command", ["matelems", "audit"])
+    @pytest.mark.parametrize("matelems", [
+        {"operators": [{"name": "x", "kind": "X_M", "derivative": "false"}],
+         "transitions": [["0", "1-"]]},
+        {"operators": [{"name": "x", "kind": "X_M", "derivitive": False}],
+         "transitions": [["0", "1-"]]},
+        {"operators": [{"name": 7, "kind": "X_M"}], "transitions": [["0", "1-"]]},
+        {"operators": [{"kind": "X_M"}], "transitions": [["0", "1-"]]},
+        {"operators": [["x", "X_M", True]], "transitions": [["0", "1-"]]},
+        {"operators": [{"name": "x", "kind": "X_M"}], "transitions": [["0", "1-", "1+"]]},
+        {"operators": [{"name": "x", "kind": "X_M"}], "transitions": ["01"]},
+        {"operators": [{"name": "x", "kind": "X_M"}], "transitions": [["0", "1-"]], "bogus": 1},
+        {"transitions": [["0", "1-"]]},
+        {"operators": [{"name": "x", "kind": "X_M"}]},
+    ], ids=["quoted-derivative", "misspelt-derivative", "numeric-name", "no-name",
+            "operator-list", "transition-triple", "transition-string", "block-key",
+            "no-operators", "no-transitions"])
+    def test_malformed_block_exits_2_in_every_mode(self, tmp_path, command, matelems):
+        # audit rejects what the mode it audits rejects
+        cfg = _emission_config(mode="matelems", matelems=matelems)
+        out = tmp_path / "out"
+        assert main([command, "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "ConfigInvalid"
+        assert "matelems" in err["error"]
+        assert sorted(f.name for f in out.iterdir()) == ["error.json"]
+
+    def test_derivative_false_reads_the_operator_itself(self, tmp_path):
+        cfg = _emission_config(mode="matelems", matelems={
+            "operators": [{"name": "xdot_m", "kind": "X_M"},
+                          {"name": "x_m", "kind": "X_M", "derivative": False}],
+            "transitions": [["0", "1-"]],
+        })
+        out = tmp_path / "out"
+        assert main(["matelems", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        with open(out / "matrix_elements.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        by_name = {name: [float(r["abs_sq"]) for r in rows if r["operator"] == name]
+                   for name in ("xdot_m", "x_m")}
+        assert len(by_name["x_m"]) == 3
+        assert by_name["x_m"] != by_name["xdot_m"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["matelems"]["operators"] == [["xdot_m", "X_M", True],
+                                                               ["x_m", "X_M", False]]
 
 
 class TestAuditRun:
