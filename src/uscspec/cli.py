@@ -23,6 +23,7 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -316,7 +317,16 @@ def parse_config(raw: dict) -> RunConfig:
 
 
 class _Loader(yaml.SafeLoader):
-    """YAML 1.1, except that a float may be written without a dot (1e-3), as in YAML 1.2."""
+    """YAML 1.1, except that, as in YAML 1.2, a float may be written without a
+    dot (1e-3) and a mapping may not repeat a key."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = [(k.tag, k.value) for k, _ in node.value if isinstance(k, yaml.ScalarNode)]
+        repeated = [value for tag, value in keys if keys.count((tag, value)) > 1]
+        if repeated:
+            raise yaml.constructor.ConstructorError(
+                None, None, f"repeated key {repeated[0]!r}", node.start_mark)
+        return super().construct_mapping(node, deep)
 
 
 _Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
@@ -382,25 +392,17 @@ def write_error(out_dir: Path | None, exc: Exception) -> None:
     print(json.dumps(report), file=sys.stderr)
 
 
-_POOLED = None  # the callable of the running _parallel_map, inherited by its forks
-
-
-def _call_pooled(item):
-    return _POOLED(item)
-
-
 def _parallel_map(fn, items, threads: int) -> list:
     """[fn(item) for item in items], on min(threads, len(items)) forked
-    processes when threads > 1. Results keep the input order, and the first
+    processes when threads > 1, so ``fn`` must pickle: a module-level function
+    or a functools.partial of one. Results keep the input order, and the first
     failing item in that order raises, so outputs do not depend on timing."""
     if threads == 1 or len(items) <= 1:
         return [fn(it) for it in items]
     import multiprocessing  # here, so that importing the CLI loads no multiprocessing
 
-    global _POOLED
-    _POOLED = fn
     with multiprocessing.get_context("fork").Pool(min(threads, len(items))) as pool:
-        return list(pool.imap(_call_pooled, items))
+        return list(pool.imap(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +419,18 @@ def _sweep_params(config: RunConfig) -> tuple[np.ndarray, list[SystemParams]]:
 
 def _labeled_bases(config: RunConfig, params_list: list[SystemParams]) -> list[DressedBasis]:
     """The sweep's dressed bases, labeled by continuation from JC labels on an
-    eta sweep at epsilon = 0 and from plain indices otherwise."""
+    eta sweep at epsilon = 0 and from plain indices otherwise. In matelems
+    mode every transition label must name a state of the first point:
+    continuation only permutes labels, so every point carries the first's."""
     bases = [dressed_basis(p) for p in params_list]
     if config.sweep.parameter == "eta" and config.system.epsilon == 0.0:
-        return label_states(bases, jc_initial_labels(params_list[0], bases[0]))
-    return label_states(bases, plain_labels(bases[0].dim))
+        labels = jc_initial_labels(params_list[0], bases[0])
+    else:
+        labels = plain_labels(bases[0].dim)
+    unknown = [lab for pair in config.matelems.transitions for lab in pair if lab not in labels]
+    if config.mode == "matelems" and unknown:
+        raise ConfigInvalid(f"matelems transition label {unknown[0]!r} names no state")
+    return label_states(bases, labels)
 
 
 def run_eigen(config: RunConfig, out_dir: Path, threads: int) -> None:
@@ -488,17 +497,13 @@ def _point_rows(config: RunConfig, params: SystemParams, grid: np.ndarray,
     return rows
 
 
-def _sweep_maps(config: RunConfig, threads: int) -> tuple[np.ndarray, str, list]:
-    """The grid, the emission method and, for every sweep point, the row of
-    each probe (see ``_point_rows``) of a spectrum-mode config."""
-    _, params_list = _sweep_params(config)
+def _grid_and_method(config: RunConfig) -> tuple[np.ndarray, str]:
+    """The frequency grid of a spectrum-mode config and its emission method."""
     grid = config.grid.values()
     method = config.emission_method
     if method == "auto":  # one eig of a dense L costs 20-31 solves (n_fock 8-20)
         method = "eig" if grid.size >= 32 else "solve"
-    maps = _parallel_map(lambda params: _point_rows(config, params, grid, method),
-                         params_list, threads)
-    return grid, method, maps
+    return grid, method
 
 
 def _emission_rows(config: RunConfig, values: np.ndarray, grid: np.ndarray,
@@ -523,7 +528,9 @@ def run_spectra(config: RunConfig, out_dir: Path, threads: int) -> None:
     """Emission or reflectivity: every sweep point is evaluated before any
     CSV is written, so a failing point leaves no partial output."""
     values, params_list = _sweep_params(config)
-    grid, method, maps = _sweep_maps(config, threads)
+    grid, method = _grid_and_method(config)
+    maps = _parallel_map(partial(_point_rows, config, grid=grid, method=method),
+                         params_list, threads)
     sweep_col = (f"{config.sweep.parameter}_over_omega_r"
                  if config.sweep.parameter != "none" else "point")
     for k, probe in enumerate(config.probes):
@@ -543,11 +550,6 @@ def run_spectra(config: RunConfig, out_dir: Path, threads: int) -> None:
 def run_matelems(config: RunConfig, out_dir: Path, threads: int) -> None:
     values, params_list = _sweep_params(config)
     bases = _labeled_bases(config, params_list)
-    # continuation only permutes labels, so every point carries the first's
-    for label in (label for pair in config.matelems.transitions for label in pair):
-        if label not in bases[0].labels:
-            raise ConfigInvalid(f"matelems transition label {label!r} names no state")
-
     operators = {name: [emission_probe(params, kind, basis) if derivative
                         else basis.to_dressed(build_output_operator(kind, params))
                         for params, basis in zip(params_list, bases)]
@@ -564,38 +566,42 @@ def run_matelems(config: RunConfig, out_dir: Path, threads: int) -> None:
 # convergence audit
 # ---------------------------------------------------------------------------
 
+def _audit_point(config: RunConfig, bigger: RunConfig, grid: np.ndarray | None,
+                 method: str | None, point: tuple[float, SystemParams, SystemParams]) -> dict:
+    """The check of one (sweep value, params, params in ``bigger``) point: its
+    low energies and, in the spectrum modes, every probe's row over the grid."""
+    value, params, params_big = point
+    e_small = dressed_basis(params).energies
+    e_big = dressed_basis(params_big).energies[: len(e_small)]
+    # compare the lowest quarter of the spectrum; higher rungs of a
+    # truncated Fock ladder are never converged and carry no population
+    keep = max(2, len(e_small) // 4)
+    dev = float(np.abs(e_small[:keep] - e_big[:keep]).max())
+    check = {"sweep_value": float(value), "n_fock": params.n_fock, "energy_dev": dev,
+             "energy_ok": bool(dev <= ENERGY_AUDIT_TOL)}
+    if config.mode in SPECTRUM_MODES:
+        small, big = (_point_rows(c, p, grid, method)
+                      for c, p in ((config, params), (bigger, params_big)))
+        # np.max, not max: a NaN deviation on any probe must FAIL
+        rel = float(np.max([np.abs(s - b).max() / np.abs(s).max() for s, b in zip(small, big)]))
+        check["spectrum_rel_dev"] = rel
+        check["spectrum_ok"] = bool(rel <= SPECTRUM_AUDIT_TOL)
+    return check
+
+
 def run_audit(config: RunConfig, out_dir: Path, threads: int) -> None:
     """Run the config again at n_fock + 10 (and, for reflectivity, Floquet
-    order + 2) and check every sweep point: its low energies and, in the
-    spectrum modes, every probe's row over the whole grid."""
+    order + 2) and check every sweep point, one ``_audit_point`` task each."""
     bigger = replace(config, system=replace(config.system, n_fock=config.system.n_fock + 10))
     if config.mode == "reflectivity":
         bigger = replace(bigger, drive=replace(config.drive,
                                                floquet_order=config.drive.floquet_order + 2))
-
-    def energy_dev(pair) -> float:
-        e_small = dressed_basis(pair[0]).energies
-        e_big = dressed_basis(pair[1]).energies[: len(e_small)]
-        # compare the lowest quarter of the spectrum; higher rungs of a
-        # truncated Fock ladder are never converged and carry no population
-        keep = max(2, len(e_small) // 4)
-        return float(np.abs(e_small[:keep] - e_big[:keep]).max())
-
     values, params_list = _sweep_params(config)
-    pairs = list(zip(params_list, _sweep_params(bigger)[1]))
-    checks = [{"sweep_value": float(value), "n_fock": params.n_fock,
-               "energy_dev": dev, "energy_ok": bool(dev <= ENERGY_AUDIT_TOL)}
-              for value, (params, _), dev in
-              zip(values, pairs, _parallel_map(energy_dev, pairs, threads))]
-
-    if config.mode in SPECTRUM_MODES:
-        maps = [_sweep_maps(c, threads)[2] for c in (config, bigger)]
-        for check, small, big in zip(checks, *maps):
-            # np.max, not max: a NaN deviation on any probe must FAIL
-            rel = float(np.max([np.abs(s - b).max() / np.abs(s).max()
-                                for s, b in zip(small, big)]))
-            check["spectrum_rel_dev"] = rel
-            check["spectrum_ok"] = bool(rel <= SPECTRUM_AUDIT_TOL)
+    if config.mode == "matelems":  # reject a transition label as run_matelems does
+        _labeled_bases(config, params_list[:1])
+    grid, method = _grid_and_method(config) if config.mode in SPECTRUM_MODES else (None, None)
+    checks = _parallel_map(partial(_audit_point, config, bigger, grid, method),
+                           list(zip(values, params_list, _sweep_params(bigger)[1])), threads)
 
     ok = all(c["energy_ok"] and c.get("spectrum_ok", True) for c in checks)
     report = {

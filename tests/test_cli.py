@@ -209,14 +209,25 @@ class TestMainExitCodes:
         path = _write(tmp_path, _emission_config(bogus=1))
         assert main(["emission", "--config", path, "--out", str(out)]) == 2
 
-    def test_malformed_yaml_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("text, named", [
+        ("mode: emission\nsystem: {delta: 1.0\n", "while parsing a flow mapping"),
+        # YAML 1.2 keys are unique, where PyYAML alone would keep the last
+        (yaml.safe_dump(_emission_config()) + "grid: {start: 0.1, stop: 2.5, points: 5}\n",
+         "repeated key 'grid'"),
+        (yaml.safe_dump(_emission_config()).replace("  which: qubit\n",
+                                                    "  which: qubit\n  gamma: 0.02\n"),
+         "repeated key 'gamma'"),
+    ], ids=["unclosed-flow-mapping", "repeated-top-level-key", "repeated-bath-key"])
+    def test_malformed_yaml_exits_2(self, tmp_path, text, named):
         path = tmp_path / "config.yaml"
-        path.write_text("mode: emission\nsystem: {delta: 1.0\n")
+        path.write_text(text)
         out = tmp_path / "out"
         assert main(["emission", "--config", str(path), "--out", str(out)]) == 2
         err = json.loads((out / "error.json").read_text())
         assert err["type"] == "ConfigInvalid"
         assert err["error"].startswith("config is not valid YAML")
+        assert named in err["error"]
+        assert not list(out.glob("*.csv"))
 
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
         target = tmp_path / "taken"
@@ -597,18 +608,20 @@ class TestMatelemsRun:
         assert len(rows) == 3 * 2
         assert {r["operator"] for r in rows} == {"xdot_m"}
 
-    def test_unknown_label_exits_2_and_writes_no_csv(self, tmp_path):
+    @pytest.mark.parametrize("command", ["matelems", "audit"])
+    def test_unknown_label_exits_2_and_writes_no_csv(self, tmp_path, command):
         cfg = _emission_config(mode="matelems")
         cfg["matelems"] = {
             "operators": [{"name": "xdot_m", "kind": "X_M"}],
             "transitions": [["0", "9+x"]],
         }
         out = tmp_path / "out"
-        assert main(["matelems", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+        assert main([command, "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
         err = json.loads((out / "error.json").read_text())
         assert err["type"] == "ConfigInvalid"
         assert "'9+x'" in err["error"]
         assert not (out / "matrix_elements.csv").exists()
+        assert not (out / "audit.json").exists()
 
 
     @pytest.mark.parametrize("command", ["matelems", "audit"])
@@ -746,7 +759,12 @@ class TestAuditRun:
     ("emission", _emission_config(probes=["X_C", "X_M"])),
     ("reflectivity", _reflectivity_config()),
     ("audit", _reflectivity_config()),
-], ids=["emission", "reflectivity", "audit"])
+    ("audit", _emission_config(probes=["X_C", "X_M"])),
+    ("audit", _emission_config(mode="matelems", matelems={
+        "operators": [{"name": "xdot_c", "kind": "X_C"},
+                      {"name": "x_m", "kind": "X_M", "derivative": False}],
+        "transitions": [["0", "1-"], ["0", "1+"]]})),
+], ids=["emission", "reflectivity", "audit", "emission-audit", "matelems-audit"])
 def test_thread_pool_writes_the_same_bytes(tmp_path, command, cfg):
     path = _write(tmp_path, cfg)
     outputs = []
@@ -772,12 +790,13 @@ def test_process_pool_size_is_capped_by_the_items(monkeypatch):
     assert asked == [2]
 
 
-def test_process_pool_keeps_order_and_raises_the_first_failure_in_it():
-    def square_or_fail(x):
-        if x in (1, 2):
-            raise NoConvergence(f"item {x}")
-        return x * x
+def square_or_fail(x):  # module level: a process pool task must pickle
+    if x in (1, 2):
+        raise NoConvergence(f"item {x}")
+    return x * x
 
+
+def test_process_pool_keeps_order_and_raises_the_first_failure_in_it():
     assert _parallel_map(square_or_fail, [3, 0, 4], threads=2) == [9, 0, 16]
     with pytest.raises(NoConvergence, match="item 1"):
         _parallel_map(square_or_fail, [0, 1, 2, 3], threads=2)
