@@ -50,7 +50,7 @@ class SingularHarmonicSolve(UscSpecError):
 
 
 class ZeroDrive(UscSpecError):
-    """Reflectivity requested with zero input amplitude."""
+    """Reflectivity requested with zero input amplitude, or one whose inverse overflows."""
 
 
 class UnknownLabel(UscSpecError):

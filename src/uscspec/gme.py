@@ -165,12 +165,15 @@ def _omega_nth(omega: np.ndarray, temperature: float) -> np.ndarray:
 
 def gaussian_filter(omega, omega_prime, b: float):
     """Secular filter exp(-|omega - omega'|^2 / (2 b^2)); at b = 0 the
-    indicator of |omega - omega'| <= OMEGA_MIN, the secular rule."""
+    indicator of |omega - omega'| <= OMEGA_MIN, the secular rule. Equal
+    frequencies weigh exactly 1 at every b > 0, also where 2 b^2 underflows
+    to 0 and the quotient would be 0/0."""
     diff = np.asarray(omega, dtype=float) - np.asarray(omega_prime, dtype=float)
     if b == 0.0:
         out = (np.abs(diff) <= OMEGA_MIN).astype(float)
     else:
-        out = np.exp(-(diff**2) / (2.0 * b * b))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = np.where(diff == 0, 1.0, np.exp(-(diff**2) / (2.0 * b * b)))
     return out if out.ndim else float(out)
 
 

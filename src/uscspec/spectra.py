@@ -19,13 +19,7 @@ from .gme import (
     resonator_channel,
     total_liouvillian,
 )
-from .model import (
-    OutputKind,
-    SystemParams,
-    build_output_operator,
-    build_static_hamiltonian,
-    heisenberg_derivative,
-)
+from .model import OutputKind, SystemParams, build_output_operator
 from .steady import floquet_harmonics
 
 
@@ -88,21 +82,30 @@ def emission_spectrum(
 
 
 def emission_probe(params: SystemParams, kind: OutputKind, basis: DressedBasis) -> np.ndarray:
-    """Dressed-basis time derivative of the output operator of ``kind``."""
-    h = build_static_hamiltonian(params)
-    x = build_output_operator(kind, params)
-    return basis.to_dressed(heisenberg_derivative(x, h))
+    """Dressed-basis time derivative i[H, X] of the output operator of ``kind``.
+
+    H is diagonal in ``basis``, the dressed basis of ``params``, so the
+    commutator is i (E_a - E_b) X_ab entry by entry. The exact level gaps keep
+    the small Bohr frequency of a near-degenerate doublet, which HX - XH loses
+    to round-off of size eps |H| |X|."""
+    e = basis.energies
+    return 1j * (e[:, None] - e[None, :]) * basis.to_dressed(build_output_operator(kind, params))
 
 
 def _s11(rho_minus1, x_probe_plus, gamma_port, b_in, omega_d, coupling_sign):
     """|S11| = |1 -/+ (sqrt(2 pi) / |b_in|) sqrt(w_d gamma) Tr[X+ rho^{-1}]|,
     minus for the mutual inductive coupling (``coupling_sign = -1``). Under the
-    steady-state approximation Xdot+ ~ -i w_d X+ the probe needs no derivative."""
+    steady-state approximation Xdot+ ~ -i w_d X+ the probe needs no derivative.
+    A b_in so small that 1/|b_in| overflows is rejected as a zero drive."""
     if b_in == 0:
         raise ZeroDrive("reflectivity undefined at zero drive amplitude")
     tr = np.trace(x_probe_plus @ rho_minus1)
     amp = math.sqrt(2.0 * math.pi) / abs(b_in) * math.sqrt(omega_d * gamma_port)
-    return float(abs(1.0 + coupling_sign * amp * tr))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite |S11| raises below
+        s11 = float(abs(1.0 + coupling_sign * amp * tr))
+    if not math.isfinite(s11):
+        raise ZeroDrive(f"|S11| is not finite at b_in = {b_in:.3e}: the drive underflows")
+    return s11
 
 
 PROBE_COUPLING = {

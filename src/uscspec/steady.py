@@ -16,6 +16,7 @@ STEADY_RESIDUAL_TOL = 1e-10
 HARMONIC_RESIDUAL_TOL = 1e-9
 HARMONIC_GMRES_MAX_ITER = 200
 HARMONIC_GMRES_TOL = 1e-15
+HARMONIC_DRIVE_TOL = 1e-6
 NULLSPACE_GAP_TOL = 1e-10
 
 
@@ -124,6 +125,11 @@ def floquet_harmonics(
     the residual of every row are then checked against the given ``l``,
     ``l_plus`` and ``l_minus`` (NoConvergence), and each pair is returned as
     the mean of rho^k and (rho^{-k})^dagger, in a dict {k: rho^k}.
+
+    The row checks are absolute, so a drive too weak for GMRES to resolve
+    would pass them with rho^{-1} = 0. The k = -1 row is therefore also held
+    to HARMONIC_DRIVE_TOL of its drive term L- rho^0, entry by entry: a
+    2-norm squares the entries and underflows below about 1e-154.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -165,6 +171,13 @@ def floquet_harmonics(
             raise NoConvergence(
                 f"harmonic row k={k} residual {resid:.3e} > {HARMONIC_RESIDUAL_TOL:.1e}"
             )
+    drive = np.abs(l_minus @ v[order]).max()
+    resid = np.abs(rows[order - 1]).max()
+    if not resid <= HARMONIC_DRIVE_TOL * drive:
+        raise NoConvergence(
+            f"harmonic row k=-1 residual {resid:.3e} > {HARMONIC_DRIVE_TOL:.0e} of its "
+            f"drive term {drive:.3e}: the drive is too weak to resolve"
+        )
     return dict(zip(ks.tolist(), rho))
 
 

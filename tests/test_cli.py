@@ -529,6 +529,15 @@ class TestEmissionRun:
 
 
 class TestReflectivityRun:
+    @pytest.mark.parametrize("b_in", [1e-200, 5e-324])
+    def test_unresolvably_weak_drive_exits_3_and_writes_no_csv(self, tmp_path, b_in):
+        # 1e-200 leaves rho^{-1} unresolved; at 5e-324 the drive underflows to 0
+        path = _write(tmp_path, _reflectivity_config(drive={"b_in": b_in}))
+        out = tmp_path / "out"
+        assert main(["reflectivity", "--config", path, "--out", str(out)]) == 3
+        assert json.loads((out / "error.json").read_text())["type"] == "SolverFailure"
+        assert not list(out.glob("*.csv"))
+
     def test_run_without_a_sweep_writes_the_system_offset(self, tmp_path):
         cfg = _reflectivity_config(sweep={"parameter": "none"})
         cfg["system"]["epsilon"] = 0.6

@@ -72,6 +72,11 @@ class TestGaussianFilter:
         assert gaussian_filter(1.0, 1.0 + 5e-10, 0.0) == 1.0
         assert gaussian_filter(1.0, 1.0 + 2e-9, 0.0) == 0.0
 
+    def test_underflowing_bandwidth_is_the_indicator_of_equal_frequencies(self):
+        with np.errstate(all="raise"):
+            assert gaussian_filter(1.0, 1.0, 5e-324) == 1.0
+            assert gaussian_filter(1.0, 1.0 + 1e-15, 5e-324) == 0.0
+
     def test_finite_bandwidth(self):
         assert gaussian_filter(1.0, 1.0, 0.1) == 1.0
         assert gaussian_filter(1.0, 1.1, 0.1) == pytest.approx(np.exp(-0.5))
@@ -226,6 +231,14 @@ class TestSecularClosedForm:
         assert not calls
         _, _, dense = _standard_setup(filter_b=1e-150, **setup)
         assert len(calls) == 4
+        assert np.abs(closed.matrix - dense).max() <= 1e-15 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("filter_b", [1e-200, 5e-324])
+    def test_underflowing_width_matches_the_filtered_sum(self, filter_b):
+        # 2 b^2 underflows to 0, where equal frequencies would give 0/0
+        setup = dict(eta=0.9, epsilon=0.35, n_fock=14, t_r=0.45, t_q=0.45)
+        _, _, closed = _standard_setup(**setup)
+        _, _, dense = _standard_setup(filter_b=filter_b, **setup)
         assert np.abs(closed.matrix - dense).max() <= 1e-15 * np.abs(dense).max()
 
     def test_equal_bohr_frequencies_take_the_filtered_sum(self, monkeypatch):

@@ -8,7 +8,7 @@ from uscspec.dressed import (
     jc_initial_labels,
     label_states,
 )
-from uscspec.errors import ZeroDrive
+from uscspec.errors import NoConvergence, ZeroDrive
 from uscspec.gme import (
     GmeConfig,
     build_gme,
@@ -161,6 +161,36 @@ class TestEmissionSpectrum:
         assert rel < 1e-5
 
 
+class TestEmissionProbe:
+    @pytest.mark.parametrize("epsilon", [0.0, 0.4])
+    @pytest.mark.parametrize("model_kind,kind", [
+        ("circuit", OutputKind.INDUCTIVE_M),
+        ("circuit", OutputKind.CAPACITIVE_C),
+        ("circuit", OutputKind.QUADRATURE),
+        ("cavity_qed", OutputKind.CAPACITIVE_C),
+        ("cavity_qed", OutputKind.CAVITY_D),
+        ("cavity_qed", OutputKind.QUADRATURE),
+    ])
+    def test_matches_the_bare_basis_commutator(self, model_kind, kind, epsilon):
+        params = SystemParams(delta=1.0, epsilon=epsilon, eta=0.8, n_fock=10,
+                              model_kind=model_kind)
+        basis = dressed_basis(params)
+        oracle = basis.to_dressed(heisenberg_derivative(
+            build_output_operator(kind, params), build_static_hamiltonian(params)))
+        probe = emission_probe(params, kind, basis)
+        assert np.abs(probe - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    def test_keeps_the_bohr_frequency_of_a_near_degenerate_doublet(self):
+        # deep-strong coupling: E_1 - E_0 ~ 1.6e-8, below the round-off
+        # eps |H| |X| of HX - XH, so only the exact gap resolves this element
+        params = SystemParams(delta=1.0, epsilon=0.0, eta=3.0, n_fock=40)
+        basis = dressed_basis(params)
+        x = basis.to_dressed(build_output_operator(OutputKind.CAPACITIVE_C, params))
+        expected = 1j * (basis.energies[0] - basis.energies[1]) * x[0, 1]
+        probe = emission_probe(params, OutputKind.CAPACITIVE_C, basis)
+        assert abs(probe[0, 1] - expected) <= 1e-6 * abs(expected)
+
+
 class TestSpectrumSeries:
     def test_grid_must_increase(self):
         params, basis, lm = _emission_setup(n_fock=3)
@@ -176,6 +206,15 @@ class TestReflectivity:
     def test_zero_drive_rejected(self):
         with pytest.raises(ZeroDrive):
             _s11(np.zeros((2, 2)), np.zeros((2, 2)), 1e-3, 0.0, 1.0, +1)
+
+    def test_unresolvably_weak_drive_rejected(self):
+        # |S11| is steady down to b_in = 1e-13 here; below, GMRES stops
+        # before it resolves rho^{-1}, which would read |S11| = 1
+        params = SystemParams(delta=0.69, epsilon=0.6, eta=1.01, n_fock=8)
+        qb = qubit_channel(gamma=5e-3, temperature=0.55, delta=params.delta)
+        with pytest.raises(NoConvergence, match="too weak to resolve"):
+            reflectivity_spectrum(params, OutputKind.INDUCTIVE_M, np.linspace(0.8, 1.2, 9),
+                                  qb, gamma_port=1e-3, port_temperature=0.55, b_in=1e-14)
 
     def _sweep(self, probe, eps_grid, omega_grid):
         """S11 rows, one reflectivity_spectrum call per flux offset."""
