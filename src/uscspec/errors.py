@@ -26,7 +26,8 @@ class NotHermitian(UscSpecError):
 
 
 class NonPositiveFrequency(UscSpecError):
-    """Thermal occupation requested at a non-positive frequency."""
+    """A frequency that must be positive, such as a thermal occupation's or a
+    drive's, is not."""
 
 
 class EmptyChannels(UscSpecError):

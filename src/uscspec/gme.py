@@ -124,18 +124,11 @@ class SecularGenerator:
 
 @dataclass(frozen=True, eq=False)
 class Commutator:
-    """rho -> coefficient [x, rho]. It has no arithmetic, no ``__array__`` and
-    no dense form: ``@`` applies it to vec(rho), or to a stack of such
-    columns, in O(d^3) per column."""
+    """rho -> coefficient [x, rho], kept as its d x d operator and coefficient;
+    ``steady.floquet_harmonics`` applies it to each harmonic, in O(d^3)."""
 
     x: np.ndarray
     coefficient: complex
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        d = self.x.shape[0]
-        rho = np.moveaxis(v.reshape(d, d, -1), -1, 0)  # one d x d matrix per column
-        out = self.coefficient * (self.x @ rho - rho @ self.x)
-        return np.moveaxis(out, 0, -1).reshape(v.shape)
 
 
 def thermal_occupation(omega, temperature: float):
@@ -314,14 +307,9 @@ def _dephasing_rates(
     kappa (lam_a conj(lam_b) - |lam_a|^2 / 2 - |lam_b|^2 / 2), with
     kappa = (gamma / omega_i) (2 T + 1), or (2 n_th + 1) in place of (2 T + 1)
     for the "bose" weight."""
-    if config.dephasing_weight == "printed":
-        weight = 2.0 * channel.temperature + 1.0
-    else:
-        nth = 0.0 if channel.temperature == 0.0 else thermal_occupation(
-            channel.ref_frequency, channel.temperature
-        )
-        weight = 2.0 * nth + 1.0
-    kappa = channel.gamma / channel.ref_frequency * weight
+    nth = (channel.temperature if config.dephasing_weight == "printed"
+           else thermal_occupation(channel.ref_frequency, channel.temperature))
+    kappa = channel.gamma / channel.ref_frequency * (2.0 * nth + 1.0)
     lam = np.diag(x_dressed)
     half = 0.5 * (lam.conj() * lam).real
     return kappa * (np.outer(lam, lam.conj()) - half[:, None] - half[None, :])
@@ -349,21 +337,20 @@ def build_drive_superoperators(
     phase: float,
     omega_d: float,
     coupling_sign: int,
-) -> tuple[Commutator, Commutator]:
-    """Coherent-drive superoperators L_{+/-} rho = +/- s |b_in| e^{+/- i phi}
-    sqrt(gamma omega_d) [X, rho] (omega_d in units of omega_r), as two
-    ``Commutator`` on X.
+) -> Commutator:
+    """The coherent drive's raising sideband L_+ rho = c [X, rho], with
+    c = s |b_in| e^{i phi} sqrt(gamma omega_d) (omega_d in units of omega_r),
+    as one ``Commutator`` on X.
 
-    These are -i[h_{+/-}, rho] with h_- = h_+^dagger, so the sideband pair
-    keeps the time-periodic density matrix Hermitian: (L_+ rho)^dagger
-    = L_- rho^dagger. ``coupling_sign`` is +1 for capacitive coupling and -1
-    for the mutual inductive one (the interaction Hamiltonians differ by an
-    overall sign).
+    L_+ = -i[h_+, .] pairs with L_- = -conj(c) [X, .] = -i[h_+^dagger, .],
+    which ``steady.floquet_harmonics`` forms from it; for Hermitian X the pair
+    keeps the time-periodic density matrix Hermitian. ``coupling_sign`` is +1
+    for capacitive coupling and -1 for the mutual inductive one (the
+    interaction Hamiltonians differ by an overall sign).
     """
     if omega_d <= 0:
         raise NonPositiveFrequency("drive frequency must be positive")
     if rate_gamma < 0:
         raise ValueError("rate_gamma must be >= 0")
     amp = abs(b_in) * np.sqrt(rate_gamma * omega_d)
-    return (Commutator(x, coupling_sign * amp * np.exp(1j * phase)),
-            Commutator(x, -coupling_sign * amp * np.exp(-1j * phase)))
+    return Commutator(x, coupling_sign * amp * np.exp(1j * phase))

@@ -156,8 +156,8 @@ def reflectivity_spectrum(
         x_drive = basis.to_dressed(build_output_operator(coupling, params))
         rho_minus1 = []
         for omega_d in omega_d_grid:
-            lp, lmn = build_drive_superoperators(x_drive, gamma_port, b_in, phase, omega_d, sign)
-            harmonics = floquet_harmonics(l_total, lp, lmn, omega_d, order=order)
+            drive = build_drive_superoperators(x_drive, gamma_port, b_in, phase, omega_d, sign)
+            harmonics = floquet_harmonics(l_total, drive, omega_d, order=order)
             rho_minus1.append(np.exp(1j * phase) * harmonics[-1])
         solved[key] = basis, rho_minus1
     basis, rho_minus1 = solved[key]

@@ -8,6 +8,7 @@ import numpy as np
 from .errors import (
     DegenerateSteadyState,
     NoConvergence,
+    NonPositiveFrequency,
     SingularHarmonicSolve,
 )
 from .gme import Commutator, SecularGenerator
@@ -109,22 +110,24 @@ def steady_state(l: np.ndarray | SecularGenerator) -> np.ndarray:
 
 def floquet_harmonics(
     l: np.ndarray | SecularGenerator,
-    l_plus: np.ndarray | Commutator,
-    l_minus: np.ndarray | Commutator,
+    drive: Commutator,
     omega_d: float,
     order: int = 2,
 ) -> dict[int, np.ndarray]:
     """Solve the harmonic recursion (L - i k w_d) rho^k + L+ rho^{k-1} + L- rho^{k+1} = 0.
 
-    ``l`` is the full Liouvillian (coherent part included). The chain is
-    truncated at |k| = order with rho^{+/-(order+1)} = 0, and rho^0 has trace
-    one. The stacked rho^k are found by one GMRES, right-preconditioned with
-    the undriven blocks A_k = L - i k w_d (``_undriven_inverse``), with the
-    last population row of A_0 replaced by the trace row; the drive skips that
-    row, as [X, rho] is traceless. The pairing rho^{-k} = (rho^k)^dagger and
-    the residual of every row are then checked against the given ``l``,
-    ``l_plus`` and ``l_minus`` (NoConvergence), and each pair is returned as
-    the mean of rho^k and (rho^{-k})^dagger, in a dict {k: rho^k}.
+    ``l`` is the full Liouvillian (coherent part included) and ``drive`` is
+    L+ = c [X, .]; its partner L- = -conj(c) [X, .] is formed here, so row k
+    gains c [X, rho^{k-1}] - conj(c) [X, rho^{k+1}] from one [X, rho^k] per
+    harmonic. The chain is truncated at |k| = order with rho^{+/-(order+1)}
+    = 0, and rho^0 has trace one. The stacked rho^k are found by one GMRES,
+    right-preconditioned with the undriven blocks A_k = L - i k w_d
+    (``_undriven_inverse``), with the last population row of A_0 replaced by
+    the trace row; the drive skips that row, as [X, rho] is traceless. GMRES
+    does not impose rho^{-k} = (rho^k)^dagger, and a non-Hermitian X breaks
+    it, so that pairing and the residual of every row are then checked
+    (NoConvergence), and each pair is returned as the mean of rho^k and
+    (rho^{-k})^dagger, in a dict {k: rho^k}.
 
     The row checks are absolute, so a drive too weak for GMRES to resolve
     would pass them with rho^{-1} = 0. The k = -1 row is therefore also held
@@ -134,16 +137,23 @@ def floquet_harmonics(
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if omega_d <= 0:
-        raise ValueError(f"omega_d must be > 0, got {omega_d}")
+        raise NonPositiveFrequency(f"omega_d must be > 0, got {omega_d}")
     ks = np.arange(-order, order + 1)
     size = ks.size
+    x, c_plus = drive.x, drive.coefficient
+    c_minus = -np.conj(c_plus)
+
+    def add_drive(rows, v):  # rows[k] += L+ v[k - 1] + L- v[k + 1]; returns [X, v[k]]
+        r = v.reshape(size, *x.shape)
+        comm = (x @ r - r @ x).reshape(size, -1)
+        rows[1:] += c_plus * comm[:-1]
+        rows[:-1] += c_minus * comm[1:]
+        return comm
 
     def driven(v):  # the stacked system applied to the preconditioned v
         v = v.reshape(size, -1)
-        x = undriven(v)
         y = v.copy()
-        y[1:] += (l_plus @ x[:-1].T).T
-        y[:-1] += (l_minus @ x[1:].T).T
+        add_drive(y, undriven(v))
         y[order, -1] = v[order, -1]
         return y.reshape(-1)
 
@@ -164,19 +174,18 @@ def floquet_harmonics(
     rho = 0.5 * (rho + mirror)
     v = rho.reshape(size, -1)
     rows = (l @ v.T).T - 1j * omega_d * ks[:, None] * v
-    rows[1:] += (l_plus @ v[:-1].T).T
-    rows[:-1] += (l_minus @ v[1:].T).T
+    comm = add_drive(rows, v)
     for k, resid in zip(ks, np.linalg.norm(rows, axis=1)):
         if not resid <= HARMONIC_RESIDUAL_TOL:
             raise NoConvergence(
                 f"harmonic row k={k} residual {resid:.3e} > {HARMONIC_RESIDUAL_TOL:.1e}"
             )
-    drive = np.abs(l_minus @ v[order]).max()
+    drive_term = np.abs(c_minus * comm[order]).max()
     resid = np.abs(rows[order - 1]).max()
-    if not resid <= HARMONIC_DRIVE_TOL * drive:
+    if not resid <= HARMONIC_DRIVE_TOL * drive_term:
         raise NoConvergence(
             f"harmonic row k=-1 residual {resid:.3e} > {HARMONIC_DRIVE_TOL:.0e} of its "
-            f"drive term {drive:.3e}: the drive is too weak to resolve"
+            f"drive term {drive_term:.3e}: the drive is too weak to resolve"
         )
     return dict(zip(ks.tolist(), rho))
 

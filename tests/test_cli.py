@@ -15,6 +15,7 @@ import pytest
 import yaml
 
 import uscspec
+from uscspec import cli, spectra
 from uscspec.cli import (
     BathSpec,
     DriveSpec,
@@ -31,7 +32,7 @@ from uscspec.cli import (
     resolved_dict,
 )
 from uscspec.errors import ConfigInvalid, NoConvergence
-from uscspec.gme import ChannelKind, GmeConfig
+from uscspec.gme import ChannelKind, GmeConfig, SecularGenerator, build_gme
 from uscspec.model import OutputKind, SystemParams
 from uscspec.spectra import Normalization
 
@@ -809,6 +810,39 @@ def test_process_pool_keeps_order_and_raises_the_first_failure_in_it():
     assert _parallel_map(square_or_fail, [3, 0, 4], threads=2) == [9, 0, 16]
     with pytest.raises(NoConvergence, match="item 1"):
         _parallel_map(square_or_fail, [0, 1, 2, 3], threads=2)
+
+
+class _Built(Exception):
+    """Stops a sweep point once its generator is assembled."""
+
+
+def test_measured_configs_run_the_secular_layout(monkeypatch):
+    # every (sweep point, probe) of the bundled fig2 and fig6 and of the
+    # benchmark workloads assembles a SecularGenerator: a Floquet solve on
+    # the dense layout costs about 70 times as much
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import run
+
+    layouts = []
+
+    def build_and_stop(*args):
+        layouts.append(type(build_gme(*args)))
+        raise _Built
+
+    monkeypatch.setattr(cli, "build_gme", build_and_stop)
+    monkeypatch.setattr(spectra, "build_gme", build_and_stop)
+    configs = {name: load_config(name) for name in ("fig2", "fig6")}
+    configs.update((name, parse_config(raw)) for name, raw in run.WORKLOADS.items())
+    for name, config in configs.items():
+        layouts.clear()
+        grid, method = cli._grid_and_method(config)
+        _, params_list = cli._sweep_params(config)
+        for params in params_list:
+            for probe in config.probes:
+                one_probe = dataclasses.replace(config, probes=(probe,))
+                with pytest.raises(_Built):
+                    cli._point_rows(one_probe, params, grid, method)
+        assert layouts == [SecularGenerator] * (len(params_list) * len(config.probes)), name
 
 
 def test_readme_library_example_runs(capsys):

@@ -5,8 +5,9 @@ import pytest
 
 from uscspec import steady
 from uscspec.dressed import dressed_basis
-from uscspec.errors import NoConvergence, SingularHarmonicSolve
+from uscspec.errors import NoConvergence, NonPositiveFrequency, SingularHarmonicSolve
 from uscspec.gme import (
+    Commutator,
     GmeConfig,
     SecularGenerator,
     build_drive_superoperators,
@@ -74,49 +75,63 @@ def _driven_system(b_in=0.03, omega_d=1.0, phase=0.0, eta=0.6,
     lg = build_gme(basis, channels, GmeConfig(filter_b=filter_b), params)
     lm = total_liouvillian(basis, lg)
     x = basis.to_dressed(build_output_operator(OutputKind.CAPACITIVE_C, params))
-    lp, lmn = build_drive_superoperators(x, rate_gamma=1e-3, b_in=b_in,
-                                         phase=phase, omega_d=omega_d,
-                                         coupling_sign=+1)
+    lp = build_drive_superoperators(x, rate_gamma=1e-3, b_in=b_in,
+                                    phase=phase, omega_d=omega_d,
+                                    coupling_sign=+1)
+    # the oracles' L-, from its physical coefficient -s |b_in| sqrt(gamma w_d)
+    # e^{-i phi} rather than from L+
+    lmn = Commutator(x, -abs(b_in) * np.sqrt(1e-3 * omega_d) * np.exp(-1j * phase))
     return params, lm, lp, lmn, x
 
 
 class TestFloquetHarmonics:
     def test_zero_drive_reduces_to_steady_state(self):
-        params, lm, lp, lmn, _ = _driven_system(b_in=0.0)
-        h = floquet_harmonics(lm, lp, lmn, omega_d=1.0, order=2)
+        params, lm, lp, _, _ = _driven_system(b_in=0.0)
+        h = floquet_harmonics(lm, lp, omega_d=1.0, order=2)
         np.testing.assert_allclose(h[0], steady_state(lm), atol=1e-10)
         for k in (-2, -1, 1, 2):
             assert np.abs(h[k]).max() < 1e-12
 
     def test_invariants(self):
-        params, lm, lp, lmn, _ = _driven_system()
-        h = floquet_harmonics(lm, lp, lmn, omega_d=1.0, order=2)
+        params, lm, lp, _, _ = _driven_system()
+        h = floquet_harmonics(lm, lp, omega_d=1.0, order=2)
         assert np.trace(h[0]) == pytest.approx(1.0, abs=1e-10)
         for k in (-2, -1, 1, 2):
             assert abs(np.trace(h[k])) < 1e-10
         np.testing.assert_allclose(h[0], h[0].conj().T, atol=1e-10)
 
     def test_harmonic_hermiticity_pairing(self):
-        params, lm, lp, lmn, _ = _driven_system()
-        h = floquet_harmonics(lm, lp, lmn, omega_d=1.0, order=2)
+        params, lm, lp, _, _ = _driven_system()
+        h = floquet_harmonics(lm, lp, omega_d=1.0, order=2)
         np.testing.assert_allclose(h[-1], h[1].conj().T, atol=1e-12)
         np.testing.assert_allclose(h[-2], h[2].conj().T, atol=1e-12)
 
     def test_weak_drive_matches_linear_response(self):
         params, lm, lp, lmn, _ = _driven_system(b_in=1e-4, omega_d=0.9)
-        h = floquet_harmonics(lm, lp, lmn, omega_d=0.9, order=2)
+        h = floquet_harmonics(lm, lp, omega_d=0.9, order=2)
         rho_ss = steady_state(lm)
         d = params.dim
         ident = np.eye(d * d)
         rho_m1 = -np.linalg.solve(lm.matrix + 1j * 0.9 * ident,
-                                  lmn @ rho_ss.reshape(-1)).reshape(d, d)
+                                  commutator_matrix(lmn) @ rho_ss.reshape(-1)).reshape(d, d)
         rel = np.abs(h[-1] - rho_m1).max() / np.abs(rho_m1).max()
         assert rel < 1e-6
 
+    def test_order_below_one_rejected(self):
+        _, lm, lp, _, _ = _driven_system()
+        with pytest.raises(ValueError, match="order"):
+            floquet_harmonics(lm, lp, omega_d=1.0, order=0)
+
+    @pytest.mark.parametrize("omega_d", [0.0, -1.0])
+    def test_non_positive_drive_frequency_rejected(self, omega_d):
+        _, lm, lp, _, _ = _driven_system()
+        with pytest.raises(NonPositiveFrequency, match="omega_d"):
+            floquet_harmonics(lm, lp, omega_d=omega_d, order=2)
+
     def test_order_convergence_at_weak_drive(self):
-        params, lm, lp, lmn, x = _driven_system(b_in=0.03, omega_d=1.0)
-        h2 = floquet_harmonics(lm, lp, lmn, omega_d=1.0, order=2)
-        h4 = floquet_harmonics(lm, lp, lmn, omega_d=1.0, order=4)
+        params, lm, lp, _, x = _driven_system(b_in=0.03, omega_d=1.0)
+        h2 = floquet_harmonics(lm, lp, omega_d=1.0, order=2)
+        h4 = floquet_harmonics(lm, lp, omega_d=1.0, order=4)
         obs2 = np.trace(x @ h2[-1])
         obs4 = np.trace(x @ h4[-1])
         assert abs(obs2 - obs4) < 1e-8 * max(abs(obs4), 1.0)
@@ -155,20 +170,19 @@ class TestFloquetOracle:
     def test_matches_stacked_solve(self, order, b_in, omega_d, phase):
         params, lm, lp, lmn, _ = _driven_system(b_in=b_in, omega_d=omega_d,
                                                 phase=phase, n_fock=4)
-        h = floquet_harmonics(lm, lp, lmn, omega_d=omega_d, order=order)
+        h = floquet_harmonics(lm, lp, omega_d=omega_d, order=order)
         ref = _stacked_harmonics(lm, lp, lmn, omega_d, order, params.dim)
         for k in range(-order, order + 1):
             np.testing.assert_allclose(h[k], ref[k], rtol=0, atol=1e-12)
 
-    def test_non_conjugate_drive_pair_raises(self):
-        # a pair that is not (L+ rho)^dagger = L- rho^dagger breaks
-        # rho^{-k} = (rho^k)^dagger, which the pairing check catches
-        _, lm, lp, lmn, _ = _driven_system(b_in=0.3, n_fock=4)
-        with pytest.raises(NoConvergence):
-            floquet_harmonics(lm, lp, replace(lmn, coefficient=2 * lmn.coefficient),
-                              omega_d=1.0, order=2)
-        with pytest.raises(NoConvergence):
-            floquet_harmonics(lm, lp, lp, omega_d=1.0, order=2)
+    def test_non_hermitian_drive_operator_raises(self):
+        # -conj(c) [X, .] is the Hermitian partner of c [X, .] only for a
+        # Hermitian X; otherwise rho^{-k} = (rho^k)^dagger breaks, which the
+        # pairing check catches
+        _, lm, lp, _, x = _driven_system(b_in=0.3, n_fock=4)
+        skewed = replace(lp, x=x + 0.3 * np.triu(np.ones_like(x), 1))
+        with pytest.raises(NoConvergence, match="pairing"):
+            floquet_harmonics(lm, skewed, omega_d=1.0, order=2)
 
 
 class TestFloquetPaths:
@@ -183,7 +197,7 @@ class TestFloquetPaths:
         params, lm, lp, lmn, _ = _driven_system(b_in=b_in, omega_d=omega_d, phase=phase,
                                                 n_fock=4, filter_b=filter_b)
         assert isinstance(lm, SecularGenerator) == (filter_b == 0)
-        h = floquet_harmonics(lm, lp, lmn, omega_d=omega_d, order=order)
+        h = floquet_harmonics(lm, lp, omega_d=omega_d, order=order)
         ref = _stacked_harmonics(lm, lp, lmn, omega_d, order, params.dim)
         for k in range(-order, order + 1):
             np.testing.assert_allclose(h[k], ref[k], rtol=0, atol=1e-12)
@@ -191,21 +205,21 @@ class TestFloquetPaths:
     def test_gmres_iteration_cap_raises_without_fold(self, monkeypatch):
         monkeypatch.setattr(steady, "HARMONIC_GMRES_MAX_ITER", 1)
         for filter_b in (0.0, 0.02):
-            _, lm, lp, lmn, _ = _driven_system(b_in=0.3, n_fock=4, filter_b=filter_b)
+            _, lm, lp, _, _ = _driven_system(b_in=0.3, n_fock=4, filter_b=filter_b)
             with pytest.raises(NoConvergence, match="GMRES"):
-                floquet_harmonics(lm, lp, lmn, omega_d=1.0, order=2)
+                floquet_harmonics(lm, lp, omega_d=1.0, order=2)
 
     def test_split_populations_raise_typed_error(self):
         # nothing enters or leaves state 0, so the undriven k = 0 block of the
         # preconditioner is singular
-        params, lm, lp, lmn, _ = _driven_system(n_fock=4)
+        params, lm, lp, _, _ = _driven_system(n_fock=4)
         with pytest.raises(SingularHarmonicSolve):
-            floquet_harmonics(_split_populations(lm), lp, lmn, omega_d=1.0, order=2)
+            floquet_harmonics(_split_populations(lm), lp, omega_d=1.0, order=2)
 
     def test_split_populations_raise_typed_error_on_the_dense_layout(self):
-        params, lm, lp, lmn, _ = _driven_system(n_fock=4)
+        params, lm, lp, _, _ = _driven_system(n_fock=4)
         with pytest.raises(SingularHarmonicSolve):
-            floquet_harmonics(_split_populations(lm).matrix, lp, lmn, omega_d=1.0, order=2)
+            floquet_harmonics(_split_populations(lm).matrix, lp, omega_d=1.0, order=2)
 
 
 def _split_populations(lm):
