@@ -110,8 +110,10 @@ class SweepSpec:
         _check_integer("sweep points", self.points)
         if self.parameter == "none" and self.points != 1:
             raise ConfigInvalid(f"a sweep over none has 1 point, got {self.points}")
-        if self.points > 1 and self.start > self.stop:
-            raise ConfigInvalid(f"sweep start {self.start} > stop {self.stop}")
+        if self.points > 1 and self.start >= self.stop:
+            raise ConfigInvalid(
+                f"sweep start {self.start} must be below stop {self.stop} for {self.points} points"
+            )
 
     def values(self) -> np.ndarray:
         if self.parameter == "none":
@@ -169,7 +171,7 @@ class BathSpec:
             return qubit_channel(self.gamma, self.temperature, system.delta)
         jump = self.jump_kind
         if jump == "match_probe":
-            jump = PROBE_COUPLING.get(probe, (probe, 0))[0]
+            jump = PROBE_COUPLING.get(probe, probe)
         return resonator_channel(self.gamma, self.temperature, jump)
 
 
@@ -275,10 +277,12 @@ def _require(mapping: dict, key: str, context: str):
 
 def _block(cls, block, context: str):
     """``cls(**block)`` for one config block; any malformed block, or one
-    holding a NaN or infinite number, is a ConfigInvalid."""
+    holding a boolean or a NaN or infinite number, is a ConfigInvalid."""
     if not isinstance(block, dict):
         raise ConfigInvalid(f"{context} must be a mapping, got {block!r}")
     for key, value in block.items():
+        if isinstance(value, bool):  # YAML reads yes, no, on and off as booleans
+            raise ConfigInvalid(f"{context} {key} must not be a boolean, got {value!r}")
         if isinstance(value, float) and not np.isfinite(value):
             raise ConfigInvalid(f"{context} {key} must be finite, got {value!r}")
     try:
@@ -298,7 +302,7 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(sysblock, dict):
         raise ConfigInvalid(f"system block must be a mapping, got {sysblock!r}")
     unit = sysblock.get("omega_r", 1.0)
-    if unit != 1.0:
+    if isinstance(unit, bool) or unit != 1.0:
         raise ConfigInvalid(f"omega_r is the frequency unit and must be 1.0, got {unit!r}")
     sysblock = {k: v for k, v in sysblock.items() if k != "omega_r"}
     system = _block(SystemParams, sysblock, "system block")

@@ -336,21 +336,18 @@ def build_drive_superoperators(
     b_in: float,
     phase: float,
     omega_d: float,
-    coupling_sign: int,
 ) -> Commutator:
     """The coherent drive's raising sideband L_+ rho = c [X, rho], with
-    c = s |b_in| e^{i phi} sqrt(gamma omega_d) (omega_d in units of omega_r),
+    c = |b_in| e^{i phi} sqrt(gamma omega_d) (omega_d in units of omega_r),
     as one ``Commutator`` on X.
 
     L_+ = -i[h_+, .] pairs with L_- = -conj(c) [X, .] = -i[h_+^dagger, .],
     which ``steady.floquet_harmonics`` forms from it; for Hermitian X the pair
-    keeps the time-periodic density matrix Hermitian. ``coupling_sign`` is +1
-    for capacitive coupling and -1 for the mutual inductive one (the
-    interaction Hamiltonians differ by an overall sign).
+    keeps the time-periodic density matrix Hermitian.
     """
     if omega_d <= 0:
         raise NonPositiveFrequency("drive frequency must be positive")
     if rate_gamma < 0:
         raise ValueError("rate_gamma must be >= 0")
     amp = abs(b_in) * np.sqrt(rate_gamma * omega_d)
-    return Commutator(x, coupling_sign * amp * np.exp(1j * phase))
+    return Commutator(x, amp * np.exp(1j * phase))

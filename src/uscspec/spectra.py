@@ -76,9 +76,14 @@ def emission_spectrum(
             except np.linalg.LinAlgError as exc:
                 raise ResolventSingular(f"resolvent singular at omega={omega}: {exc}") from exc
         return values
-    return np.array([
-        float(np.real(np.sum(weights / (1j * omega - evals)))) for omega in grid
-    ])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a pole on the grid raises below
+        values = np.array([
+            float(np.real(np.sum(weights / (1j * omega - evals)))) for omega in grid
+        ])
+    if not np.isfinite(values).all():
+        omega = grid[~np.isfinite(values)][0]
+        raise ResolventSingular(f"resolvent singular at omega={omega}: the pole sum is not finite")
+    return values
 
 
 def emission_probe(params: SystemParams, kind: OutputKind, basis: DressedBasis) -> np.ndarray:
@@ -92,26 +97,25 @@ def emission_probe(params: SystemParams, kind: OutputKind, basis: DressedBasis) 
     return 1j * (e[:, None] - e[None, :]) * basis.to_dressed(build_output_operator(kind, params))
 
 
-def _s11(rho_minus1, x_probe_plus, gamma_port, b_in, omega_d, coupling_sign):
-    """|S11| = |1 -/+ (sqrt(2 pi) / |b_in|) sqrt(w_d gamma) Tr[X+ rho^{-1}]|,
-    minus for the mutual inductive coupling (``coupling_sign = -1``). Under the
-    steady-state approximation Xdot+ ~ -i w_d X+ the probe needs no derivative.
-    A b_in so small that 1/|b_in| overflows is rejected as a zero drive."""
-    if b_in == 0:
-        raise ZeroDrive("reflectivity undefined at zero drive amplitude")
+def _s11(rho_minus1, x_probe_plus, gamma_port, b_in, omega_d):
+    """|S11| = |1 + (sqrt(2 pi) / |b_in|) sqrt(w_d gamma) Tr[X+ rho^{-1}]|; under
+    the steady-state approximation Xdot+ ~ -i w_d X+ the probe needs no
+    derivative. A b_in so small that 1/|b_in| overflows is a zero drive."""
     tr = np.trace(x_probe_plus @ rho_minus1)
     amp = math.sqrt(2.0 * math.pi) / abs(b_in) * math.sqrt(omega_d * gamma_port)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite |S11| raises below
-        s11 = float(abs(1.0 + coupling_sign * amp * tr))
+        s11 = float(abs(1.0 + amp * tr))
     if not math.isfinite(s11):
         raise ZeroDrive(f"|S11| is not finite at b_in = {b_in:.3e}: the drive underflows")
     return s11
 
 
+# The port operator each probe couples through. An overall sign on it would
+# cancel from |S11|: X -> -X maps every harmonic rho^k to (-1)^k rho^k.
 PROBE_COUPLING = {
-    OutputKind.INDUCTIVE_M: (OutputKind.INDUCTIVE_M, -1),
-    OutputKind.QUADRATURE: (OutputKind.INDUCTIVE_M, -1),
-    OutputKind.CAPACITIVE_C: (OutputKind.CAPACITIVE_C, +1),
+    OutputKind.INDUCTIVE_M: OutputKind.INDUCTIVE_M,
+    OutputKind.QUADRATURE: OutputKind.INDUCTIVE_M,
+    OutputKind.CAPACITIVE_C: OutputKind.CAPACITIVE_C,
 }
 
 
@@ -142,7 +146,9 @@ def reflectivity_spectrum(
     a + a^dag) then share one GME assembly and one Floquet solve per drive
     frequency.
     """
-    coupling, sign = PROBE_COUPLING[probe]
+    if b_in == 0:
+        raise ZeroDrive("reflectivity undefined at zero drive amplitude")
+    coupling = PROBE_COUPLING[probe]
     config = config or GmeConfig()
     omega_d_grid = np.asarray(omega_d_grid, dtype=float)
     key = (params, coupling, tuple(omega_d_grid), qubit_bath, gamma_port,
@@ -156,7 +162,7 @@ def reflectivity_spectrum(
         x_drive = basis.to_dressed(build_output_operator(coupling, params))
         rho_minus1 = []
         for omega_d in omega_d_grid:
-            drive = build_drive_superoperators(x_drive, gamma_port, b_in, phase, omega_d, sign)
+            drive = build_drive_superoperators(x_drive, gamma_port, b_in, phase, omega_d)
             harmonics = floquet_harmonics(l_total, drive, omega_d, order=order)
             rho_minus1.append(np.exp(1j * phase) * harmonics[-1])
         solved[key] = basis, rho_minus1
@@ -164,7 +170,7 @@ def reflectivity_spectrum(
     x_probe = basis.to_dressed(build_output_operator(probe, params))
     x_probe_plus = frequency_components(x_probe, "plus")
     return np.array([
-        _s11(rho, x_probe_plus, gamma_port, b_in, omega_d, sign)
+        _s11(rho, x_probe_plus, gamma_port, b_in, omega_d)
         for rho, omega_d in zip(rho_minus1, omega_d_grid)
     ])
 

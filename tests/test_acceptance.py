@@ -338,35 +338,35 @@ def test_criterion_08_floquet_harmonics_sanity(capsys):
         omega_d = 1.0
 
         drive0 = build_drive_superoperators(
-            x, FIG6_GAMMA_PORT, 0.0, 0.0, omega_d, -1)
+            x, FIG6_GAMMA_PORT, 0.0, 0.0, omega_d)
         h0 = floquet_harmonics(l_total, drive0, omega_d)
         for k in (-2, -1, 1, 2):
             assert np.abs(h0[k]).max() < 1e-12, (
                 f"zero drive left harmonic k={k} at {np.abs(h0[k]).max():.2e}")
 
         drive = build_drive_superoperators(
-            x, FIG6_GAMMA_PORT, FIG6_B_IN, 0.0, omega_d, -1)
+            x, FIG6_GAMMA_PORT, FIG6_B_IN, 0.0, omega_d)
         h2 = floquet_harmonics(l_total, drive, omega_d, order=2)
         pair_dev = np.abs(h2[-1] - h2[1].conj().T).max()
         assert pair_dev < 1e-12, f"sideband pairing deviation {pair_dev:.2e}"
 
         h4 = floquet_harmonics(l_total, drive, omega_d, order=4)
         x_plus = frequency_components(x, "plus")
-        s4 = _s11(h4[-1], x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_d, -1)
+        s4 = _s11(h4[-1], x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_d)
         h6 = floquet_harmonics(l_total, drive, omega_d, order=6)
-        s6 = _s11(h6[-1], x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_d, -1)
+        s6 = _s11(h6[-1], x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_d)
         # on the dip the order-2 tail still carries ~2e-8; by order 4 the
         # chain is converged to machine level
         assert abs(s4 - s6) < 1e-8, f"truncation drift {abs(s4 - s6):.2e}"
         omega_off = 1.2
         drive = build_drive_superoperators(
-            x, FIG6_GAMMA_PORT, FIG6_B_IN, 0.0, omega_off, -1)
+            x, FIG6_GAMMA_PORT, FIG6_B_IN, 0.0, omega_off)
         t2 = _s11(
             floquet_harmonics(l_total, drive, omega_off, order=2)[-1],
-            x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_off, -1)
+            x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_off)
         t4 = _s11(
             floquet_harmonics(l_total, drive, omega_off, order=4)[-1],
-            x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_off, -1)
+            x_plus, FIG6_GAMMA_PORT, FIG6_B_IN, omega_off)
         assert abs(t2 - t4) < 1e-8, f"truncation drift {abs(t2 - t4):.2e}"
 
 

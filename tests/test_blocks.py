@@ -259,6 +259,6 @@ def test_non_finite_generators_raise_typed_errors():
     with pytest.raises(UscSpecError):
         steady_state(replace(lm, rates=lm.rates * np.nan))
     x = basis.to_dressed(build_output_operator(OutputKind.CAPACITIVE_C, params))
-    drive = build_drive_superoperators(x, 1e-3, 1e-2, 0.0, 1.0, 1)
+    drive = build_drive_superoperators(x, 1e-3, 1e-2, 0.0, 1.0)
     with pytest.raises(UscSpecError):
         floquet_harmonics(lm, replace(drive, coefficient=np.nan), 1.0)

@@ -190,6 +190,36 @@ class TestConfigParsing:
             parse_config(cfg)
 
 
+    @pytest.mark.parametrize("block, key, word", [
+        ("baths", "temperature", "on"), ("drive", "phase", "no"), ("gme", "filter_b", "off"),
+        ("baths", "gamma", "yes"), ("system", "delta", "yes"), ("system", "omega_r", "yes"),
+    ])
+    def test_yaml_boolean_for_a_number_exits_2(self, tmp_path, block, key, word):
+        # YAML 1.1 reads yes, no, on and off as booleans, and Python reads True as 1
+        cfg = _reflectivity_config(gme={"filter_b": 0.0})
+        (cfg[block][0] if block == "baths" else cfg[block])[key] = "BOOLEAN"
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg).replace("BOOLEAN", word))
+        out = tmp_path / "out"
+        assert main(["reflectivity", "--config", str(path), "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "ConfigInvalid"
+        assert key in err["error"]
+        assert not (out / "manifest.json").exists()
+
+    def test_sweep_of_several_points_over_one_value_exits_2(self, tmp_path):
+        # its points would repeat one another, so it is rejected as a grid is
+        with pytest.raises(ConfigInvalid, match="must be below stop"):
+            SweepSpec("epsilon", 0.3, 0.3, 3)
+        assert SweepSpec("epsilon", 0.3, 0.3, 1).values().tolist() == [0.3]
+        cfg = _reflectivity_config(
+            sweep={"parameter": "epsilon", "start": 0.3, "stop": 0.3, "points": 3})
+        out = tmp_path / "out"
+        assert main(["reflectivity", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+        assert json.loads((out / "error.json").read_text())["type"] == "ConfigInvalid"
+        assert not (out / "reflectivity_X_M.csv").exists()
+
+
 class TestThreadResolution:
     def test_nonpositive_rejected(self, tmp_path):
         path = _write(tmp_path, _emission_config())

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from uscspec import gme
 from uscspec.dressed import dressed_basis, frequency_components
-from uscspec.errors import NonPositiveFrequency
+from uscspec.errors import EmptyChannels, InconsistentBasis, NonPositiveFrequency
 from uscspec.gme import (
     BathChannel,
     ChannelKind,
@@ -94,6 +94,16 @@ class TestGaussianFilter:
 def test_non_finite_settings_rejected(build):
     with pytest.raises(ValueError, match="finite"):
         build()
+
+
+def test_build_gme_raises_its_typed_errors():
+    params = SystemParams(delta=1.0, epsilon=0.0, eta=0.3, n_fock=3)
+    channels = [qubit_channel(gamma=1e-2, temperature=0.1, delta=params.delta)]
+    with pytest.raises(EmptyChannels):
+        build_gme(dressed_basis(params), [], GmeConfig(), params)
+    wide = dressed_basis(SystemParams(delta=1.0, epsilon=0.0, eta=0.3, n_fock=4))
+    with pytest.raises(InconsistentBasis):
+        build_gme(wide, channels, GmeConfig(), params)
 
 
 class TestDissipatorPrimitives:
@@ -368,31 +378,21 @@ class TestDriveSuperoperators:
     def test_zero_amplitude_is_zero(self):
         _, x = self._x()
         drive = build_drive_superoperators(x, rate_gamma=1e-3, b_in=0.0,
-                                           phase=0.0, omega_d=1.0,
-                                           coupling_sign=+1)
+                                           phase=0.0, omega_d=1.0)
         assert np.abs(commutator_matrix(drive)).max() == 0.0
 
     def test_trace_annihilation(self):
         # commutator drives never generate trace
         params, x = self._x()
         drive = build_drive_superoperators(x, rate_gamma=1e-3, b_in=0.05,
-                                           phase=0.3, omega_d=0.9,
-                                           coupling_sign=+1)
+                                           phase=0.3, omega_d=0.9)
         d = params.dim
         ident = np.eye(d).reshape(-1)
         assert np.abs(ident @ commutator_matrix(drive)).max() < 1e-14
 
-    def test_coupling_sign_flips_drive(self):
-        _, x = self._x()
-        kw = dict(rate_gamma=1e-3, b_in=0.05, phase=0.0, omega_d=0.9)
-        lp_cap = build_drive_superoperators(x, coupling_sign=+1, **kw)
-        lp_ind = build_drive_superoperators(x, coupling_sign=-1, **kw)
-        np.testing.assert_allclose(commutator_matrix(lp_cap), -commutator_matrix(lp_ind),
-                                   atol=1e-16)
-
     def test_linear_in_amplitude(self):
         _, x = self._x()
-        kw = dict(rate_gamma=1e-3, phase=0.2, omega_d=1.1, coupling_sign=+1)
+        kw = dict(rate_gamma=1e-3, phase=0.2, omega_d=1.1)
         lp1 = build_drive_superoperators(x, b_in=0.01, **kw)
         lp3 = build_drive_superoperators(x, b_in=0.03, **kw)
         np.testing.assert_allclose(commutator_matrix(lp3), 3.0 * commutator_matrix(lp1),
@@ -402,27 +402,26 @@ class TestDriveSuperoperators:
         _, x = self._x()
         d = x.shape[0]
         eye = np.eye(d, dtype=complex)
-        for sign, phase in ((+1, 0.0), (-1, 0.7)):
+        for phase in (0.0, 0.7):
             drive = build_drive_superoperators(x, rate_gamma=1e-3, b_in=0.05,
-                                               phase=phase, omega_d=0.9,
-                                               coupling_sign=sign)
+                                               phase=phase, omega_d=0.9)
             amp = 0.05 * np.sqrt(1e-3 * 0.9 / 1.0)
             comm = np.kron(x, eye) - np.kron(eye, x.T)
             np.testing.assert_array_equal(commutator_matrix(drive),
-                                          sign * amp * np.exp(1j * phase) * comm)
+                                          amp * np.exp(1j * phase) * comm)
 
     @pytest.mark.parametrize("omega_d", [0.0, -0.5])
     def test_non_positive_drive_frequency_rejected(self, omega_d):
         _, x = self._x()
         with pytest.raises(NonPositiveFrequency, match="drive frequency"):
             build_drive_superoperators(x, rate_gamma=1e-3, b_in=0.05, phase=0.0,
-                                       omega_d=omega_d, coupling_sign=+1)
+                                       omega_d=omega_d)
 
     def test_negative_rate_rejected(self):
         _, x = self._x()
         with pytest.raises(ValueError, match="rate_gamma"):
             build_drive_superoperators(x, rate_gamma=-1e-3, b_in=0.05, phase=0.0,
-                                       omega_d=1.0, coupling_sign=+1)
+                                       omega_d=1.0)
 
 
 class TestChannelOperator:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uscspec import spectra
 from uscspec.cli import load_config
 from uscspec.dressed import (
     dressed_basis,
@@ -8,7 +9,7 @@ from uscspec.dressed import (
     jc_initial_labels,
     label_states,
 )
-from uscspec.errors import NoConvergence, ZeroDrive
+from uscspec.errors import NoConvergence, ResolventSingular, ZeroDrive
 from uscspec.gme import (
     GmeConfig,
     build_gme,
@@ -192,6 +193,21 @@ class TestEmissionProbe:
 
 
 class TestSpectrumSeries:
+    @pytest.mark.parametrize("method", ["eig", "solve"])
+    def test_pole_on_the_grid_raises_on_either_path(self, method):
+        # an undamped dense L = -i[H, .]: the coherence (0, 1) has its pole at
+        # E_1 - E_0, which the grid holds exactly
+        params = SystemParams(delta=1.0, epsilon=0.0, eta=0.3, n_fock=3)
+        basis = dressed_basis(params)
+        lm = total_liouvillian(basis, np.zeros((params.dim ** 2,) * 2))
+        rho = np.zeros((params.dim, params.dim), dtype=complex)
+        rho[0, 0] = 1.0
+        xd = emission_probe(params, OutputKind.CAPACITIVE_C, basis)
+        gap = basis.energies[1] - basis.energies[0]
+        with pytest.raises(ResolventSingular, match="omega="):
+            emission_spectrum(lm, rho, xd, np.array([gap - 0.1, gap, gap + 0.1]),
+                              method=method)
+
     def test_grid_must_increase(self):
         params, basis, lm = _emission_setup(n_fock=3)
         xd = emission_probe(params, OutputKind.CAPACITIVE_C, basis)
@@ -203,9 +219,17 @@ class TestSpectrumSeries:
 
 
 class TestReflectivity:
-    def test_zero_drive_rejected(self):
+    def test_zero_drive_rejected(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a zero drive reached the GME or a Floquet solve")
+
+        monkeypatch.setattr(spectra, "build_gme", no_solve)
+        monkeypatch.setattr(spectra, "floquet_harmonics", no_solve)
+        params = SystemParams(delta=0.69, epsilon=0.6, eta=1.01, n_fock=4)
+        qb = qubit_channel(gamma=5e-3, temperature=0.55, delta=params.delta)
         with pytest.raises(ZeroDrive):
-            _s11(np.zeros((2, 2)), np.zeros((2, 2)), 1e-3, 0.0, 1.0, +1)
+            reflectivity_spectrum(params, OutputKind.INDUCTIVE_M, np.array([0.9, 1.0]),
+                                  qb, gamma_port=1e-3, port_temperature=0.55, b_in=0.0)
 
     def test_unresolvably_weak_drive_rejected(self):
         # |S11| is steady down to b_in = 1e-13 here; below, GMRES stops
@@ -290,7 +314,7 @@ class TestLinearResponse:
             qubit_bath = qubit_channel(qubit.gamma, qubit.temperature, params.delta)
             solved = {b_in: {} for b_in in b_values}
             for probe in config.probes:
-                coupling, sign = PROBE_COUPLING[probe]
+                coupling = PROBE_COUPLING[probe]
                 channels = [resonator_channel(port.gamma, port.temperature, coupling),
                             qubit_bath]
                 lm = total_liouvillian(basis, build_gme(basis, channels, config.gme, params))
@@ -301,9 +325,9 @@ class TestLinearResponse:
                     basis.to_dressed(build_output_operator(probe, params)), "plus")
                 linear = []
                 for wd in grid:
-                    alpha = -sign * np.exp(-1j * config.drive.phase) * np.sqrt(port.gamma * wd)
+                    alpha = -np.exp(-1j * config.drive.phase) * np.sqrt(port.gamma * wd)
                     rho_m1 = -alpha * x * (p[None, :] - p[:, None]) / (c + 1j * wd)
-                    linear.append(_s11(rho_m1, x_plus, port.gamma, 1.0, wd, sign))
+                    linear.append(_s11(rho_m1, x_plus, port.gamma, 1.0, wd))
                 for b_in in b_values:
                     floquet = reflectivity_spectrum(
                         params, probe, grid, qubit_bath, port.gamma, port.temperature,

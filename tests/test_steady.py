@@ -76,9 +76,8 @@ def _driven_system(b_in=0.03, omega_d=1.0, phase=0.0, eta=0.6,
     lm = total_liouvillian(basis, lg)
     x = basis.to_dressed(build_output_operator(OutputKind.CAPACITIVE_C, params))
     lp = build_drive_superoperators(x, rate_gamma=1e-3, b_in=b_in,
-                                    phase=phase, omega_d=omega_d,
-                                    coupling_sign=+1)
-    # the oracles' L-, from its physical coefficient -s |b_in| sqrt(gamma w_d)
+                                    phase=phase, omega_d=omega_d)
+    # the oracles' L-, from its physical coefficient -|b_in| sqrt(gamma w_d)
     # e^{-i phi} rather than from L+
     lmn = Commutator(x, -abs(b_in) * np.sqrt(1e-3 * omega_d) * np.exp(-1j * phase))
     return params, lm, lp, lmn, x
@@ -116,6 +115,19 @@ class TestFloquetHarmonics:
                                   commutator_matrix(lmn) @ rho_ss.reshape(-1)).reshape(d, d)
         rel = np.abs(h[-1] - rho_m1).max() / np.abs(rho_m1).max()
         assert rel < 1e-6
+
+    @pytest.mark.parametrize("filter_b", [0.0, 0.02])
+    def test_negated_drive_alternates_the_harmonics_sign(self, filter_b):
+        # X -> -X maps rho^k to (-1)^k rho^k exactly, so a port's sign
+        # cancels from S11 = |1 + amp Tr[X+ rho^{-1}]|
+        _, lm, lp, _, _ = _driven_system(b_in=0.3, omega_d=0.9, phase=0.7,
+                                         n_fock=6, filter_b=filter_b)
+        assert isinstance(lm, SecularGenerator) == (filter_b == 0)
+        h_pos = floquet_harmonics(lm, lp, omega_d=0.9, order=3)
+        h_neg = floquet_harmonics(lm, replace(lp, coefficient=-lp.coefficient),
+                                  omega_d=0.9, order=3)
+        for k in range(-3, 4):
+            np.testing.assert_array_equal(h_neg[k], (-1) ** k * h_pos[k])
 
     def test_order_below_one_rejected(self):
         _, lm, lp, _, _ = _driven_system()
