@@ -121,17 +121,16 @@ def build_transition_table(basis: DressedBasis) -> list[tuple]:
 
 def _carry_labels(labels, from_vectors: np.ndarray,
                   to_vectors: np.ndarray) -> tuple[tuple[str, ...], float]:
-    """The labels of the columns of ``to_vectors``, each taken from the column
-    of ``from_vectors`` it overlaps most in a one-to-one (maximal total
-    overlap) assignment, and the weakest overlap of that assignment."""
-    from scipy.optimize import linear_sum_assignment  # slow import; only labelling needs it
-
+    """The labels of the columns of ``to_vectors``, paired greedily with the
+    columns of ``from_vectors`` by largest remaining overlap (first maximum in
+    row-major order on a tie), and the weakest overlap of that pairing."""
     ov = np.abs(to_vectors.conj().T @ from_vectors) ** 2
-    row, col = linear_sum_assignment(-ov)
-    out = [""] * to_vectors.shape[1]
-    for r, c in zip(row, col):
-        out[r] = labels[c]
-    return tuple(out), float(ov[row, col].min())
+    out, worst = [""] * ov.shape[0], np.inf
+    for _ in range(len(out)):
+        r, c = np.unravel_index(ov.argmax(), ov.shape)
+        out[r], worst = labels[c], min(worst, ov[r, c])
+        ov[r, :] = ov[:, c] = -1.0  # retire the pair
+    return tuple(out), float(worst)
 
 
 def jc_initial_labels(params: SystemParams, basis: DressedBasis) -> tuple[str, ...]:
@@ -140,8 +139,10 @@ def jc_initial_labels(params: SystemParams, basis: DressedBasis) -> tuple[str, .
 
     Diagonalizes the rotating-wave (Jaynes-Cummings) counterpart of the model
     at the same coupling and matches its eigenstates to the vectors of
-    ``basis`` by maximal overlap. Ground state is "0"; the doublet of
-    excitation sector n is labeled "n-", "n+" by ascending energy.
+    ``basis`` by greedy maximal overlap, warning AmbiguousContinuation when
+    the weakest overlap is below MIN_CONTINUATION_OVERLAP. Ground state is
+    "0"; the doublet of excitation sector n is labeled "n-", "n+" by
+    ascending energy.
     """
     n_fock = params.n_fock
     a = annihilation(params)
@@ -166,7 +167,11 @@ def jc_initial_labels(params: SystemParams, basis: DressedBasis) -> tuple[str, .
             f"{sector}+{k}" for k in range(2, idx.size)]
         for q, name in zip(idx, names):
             labels[q] = name
-    return _carry_labels(labels, v_jc, basis.vectors)[0]
+    labels, worst = _carry_labels(labels, v_jc, basis.vectors)
+    if worst < MIN_CONTINUATION_OVERLAP:
+        warnings.warn(f"JC seed: weakest overlap {worst:.3f} < {MIN_CONTINUATION_OVERLAP}",
+                      AmbiguousContinuation)
+    return labels
 
 
 def plain_labels(dim: int) -> tuple[str, ...]:
@@ -178,7 +183,7 @@ def label_states(bases: list[DressedBasis], initial_labels) -> list[DressedBasis
     """Assign continuation labels along an ordered parameter sweep.
 
     The first basis receives ``initial_labels``; each subsequent basis
-    inherits labels by a maximal-overlap assignment with the previous point.
+    inherits labels by greedy maximal overlap with the previous point.
     Overlaps below MIN_CONTINUATION_OVERLAP trigger an AmbiguousContinuation
     warning but labeling proceeds.
     """

@@ -2,10 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uscspec.dressed import (
+    _carry_labels,
     build_transition_table,
     diagonalize,
     dressed_basis,
@@ -160,6 +161,62 @@ class TestLabeling:
         b1 = _basis(delta=1.0, epsilon=0.0, eta=2.5, n_fock=10)
         with pytest.warns(AmbiguousContinuation):
             label_states([b0, b1], plain_labels(b0.dim))
+
+    def test_deep_strong_jc_seed_warns(self):
+        # at eta 3.5 the JC sectors describe none of the dressed states: the
+        # seed's weakest overlap is about 0.002
+        p = SystemParams(delta=1.0, epsilon=0.0, eta=3.5, n_fock=60)
+        with pytest.warns(AmbiguousContinuation, match="JC seed"):
+            jc_initial_labels(p, dressed_basis(p))
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(6, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_greedy_pairing_is_the_optimal_assignment(self, seed, dim):
+        # every row's largest overlap above 1/2 makes the greedy pairing the
+        # unique optimum, so it must equal an assignment solver's, bit for bit
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(seed)
+
+        def unitary(scale):
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            return np.linalg.qr(np.eye(dim) + scale * g)[0]
+
+        from_vectors = unitary(1.0)
+        to_vectors = from_vectors @ unitary(0.4 / np.sqrt(dim))[:, rng.permutation(dim)]
+        ov = np.abs(to_vectors.conj().T @ from_vectors) ** 2
+        assume(ov.max(axis=1).min() > 0.5)
+        labels = [f"s{k}" for k in range(dim)]
+        row, col = linear_sum_assignment(-ov)
+        assert _carry_labels(labels, from_vectors, to_vectors) == (
+            tuple(labels[c] for c in col[np.argsort(row)]), ov[row, col].min())
+
+    def test_greedy_tie_takes_the_first_maximum_in_row_major_order(self):
+        # overlaps [[0, 1/2, 1/2], [1/2, 1/4, 1/4], [1/2, 1/4, 1/4]]: the first
+        # 1/2 gives state 0 label "y", then state 1 takes "x" before state 2
+        h, q = np.sqrt(0.5), 0.5
+        to_vectors = np.array([[0.0, h, h], [h, q, -q], [h, -q, q]])
+        labels, worst = _carry_labels("xyz", np.eye(3), to_vectors)
+        assert labels == ("y", "x", "z")
+        assert worst == q**2
+
+    def test_greedy_pairing_below_one_half_can_miss_the_optimum(self):
+        # three real rotations: greedy keeps the identity pairing (total
+        # overlap 1.269, weakest 0.214) where the optimum reaches 1.397
+        def rotation(i, j, angle):
+            m = np.eye(3)
+            m[[i, j], [i, j]] = np.cos(angle)
+            m[i, j], m[j, i] = -np.sin(angle), np.sin(angle)
+            return m
+
+        to_vectors = (rotation(0, 1, np.pi / 12) @ rotation(1, 2, np.pi / 4)
+                      @ rotation(0, 1, np.pi / 6))
+        labels, worst = _carry_labels("abc", np.eye(3), to_vectors)
+        assert labels == ("a", "b", "c")
+        ov = (to_vectors ** 2).T
+        assert worst == ov[1, 1]
+        assert np.trace(ov) == pytest.approx(1.2686, abs=1e-4)
+        assert ov[0, 0] + ov[2, 1] + ov[1, 2] == pytest.approx(1.3965, abs=1e-4)
 
     def test_index_of_unknown_label(self):
         basis = _basis(delta=1.0, epsilon=0.0, eta=0.1, n_fock=4)

@@ -1,8 +1,8 @@
 """The traced benchmark run (``perfbench/child.py`` in ``trace`` mode) wraps
 module attributes of ``uscspec`` by name. These tests run it on tiny
 configs so that a refactor which renames or bypasses a wrapped attribute
-fails here rather than silently dropping a layer from ``--trace 1``. The
-spectrum-mode configs check that a plain CLI run loads no scipy module, and
+fails here rather than silently dropping a layer from ``--trace 1``. Each
+config checks that a plain CLI run loads no scipy module, and
 the benchmark's oracle self-checks run here against the package as it is."""
 import json
 import os
@@ -12,8 +12,6 @@ from pathlib import Path
 
 import pytest
 import yaml
-
-from uscspec.cli import SPECTRUM_MODES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -87,7 +85,7 @@ def test_traced_run_records_every_layer(tmp_path, mode):
         assert payload["useful"] == {"gme.build": 1.0, "steady.floquet": 1.0}
 
 
-@pytest.mark.parametrize("mode", SPECTRUM_MODES)  # labelling needs scipy.optimize
+@pytest.mark.parametrize("mode", sorted(CONFIGS))
 def test_run_leaves_scipy_unloaded(tmp_path, mode):
     # importing scipy.linalg takes about as long as the whole fig6-reflectivity benchmark run
     config = tmp_path / "config.yaml"
