@@ -16,7 +16,6 @@ from .model import (
     SystemParams,
     build_output_operator,
     build_static_hamiltonian,
-    heisenberg_derivative,
     parity_operator,
     qubit_frequency,
     sigma_tilde_x,
@@ -51,7 +50,6 @@ from .spectra import (
     Normalization,
     emission_probe,
     emission_spectrum,
-    matrix_element_report,
     reflectivity_spectrum,
 )
 from .errors import UscSpecError
@@ -82,10 +80,8 @@ __all__ = [
     "emission_spectrum",
     "floquet_harmonics",
     "frequency_components",
-    "heisenberg_derivative",
     "jc_initial_labels",
     "label_states",
-    "matrix_element_report",
     "parity_operator",
     "plain_labels",
     "qubit_channel",

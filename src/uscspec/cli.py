@@ -60,7 +60,6 @@ from .spectra import (
     Normalization,
     emission_probe,
     emission_spectrum,
-    matrix_element_report,
     reflectivity_spectrum,
 )
 from .steady import steady_state
@@ -375,8 +374,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else format(float(v), ".17g")
-                               for v in row) + "\n")
+            fh.write(",".join(v if isinstance(v, str) else "%.17g" % v for v in row) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -552,17 +550,19 @@ def run_spectra(config: RunConfig, out_dir: Path, threads: int) -> None:
 
 
 def run_matelems(config: RunConfig, out_dir: Path, threads: int) -> None:
+    """|<i|O|j>|^2 of each operator at each sweep point, for each transition."""
     values, params_list = _sweep_params(config)
     bases = _labeled_bases(config, params_list)
-    operators = {name: [emission_probe(params, kind, basis) if derivative
-                        else basis.to_dressed(build_output_operator(kind, params))
-                        for params, basis in zip(params_list, bases)]
-                 for name, kind, derivative in config.matelems.operators}
-
+    rows = []
+    for name, kind, derivative in config.matelems.operators:
+        for value, params, basis in zip(values, params_list, bases):
+            op = (emission_probe(params, kind, basis) if derivative
+                  else basis.to_dressed(build_output_operator(kind, params)))
+            rows += [(float(value), li, lj, name,
+                      float(abs(op[basis.index_of(li), basis.index_of(lj)]) ** 2))
+                     for li, lj in config.matelems.transitions]
     write_csv(out_dir / "matrix_elements.csv",
-              ["sweep_value", "i_label", "j_label", "operator", "abs_sq"],
-              matrix_element_report(values, bases, operators,
-                                    list(config.matelems.transitions)))
+              ["sweep_value", "i_label", "j_label", "operator", "abs_sq"], rows)
     write_manifest(out_dir, config)
 
 
@@ -586,8 +586,11 @@ def _audit_point(config: RunConfig, bigger: RunConfig, grid: np.ndarray | None,
     if config.mode in SPECTRUM_MODES:
         small, big = (_point_rows(c, p, grid, method)
                       for c, p in ((config, params), (bigger, params_big)))
-        # np.max, not max: a NaN deviation on any probe must FAIL
-        rel = float(np.max([np.abs(s - b).max() / np.abs(s).max() for s, b in zip(small, big)]))
+        # np.max, not max: a NaN deviation on any probe must FAIL. A row that
+        # is zero at both cutoffs deviates by 0, and by inf against a nonzero one
+        devs = [np.abs(s - b).max() for s, b in zip(small, big)]
+        with np.errstate(divide="ignore"):
+            rel = float(np.max([d / np.abs(s).max() if d else 0.0 for d, s in zip(devs, small)]))
         check["spectrum_rel_dev"] = rel
         check["spectrum_ok"] = bool(rel <= SPECTRUM_AUDIT_TOL)
     return check

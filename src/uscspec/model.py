@@ -22,7 +22,6 @@ import numpy as np
 from .errors import (
     CutoffTooSmall,
     DegenerateQubit,
-    DimensionMismatch,
     KindMismatch,
     NotHermitian,
 )
@@ -202,14 +201,6 @@ def build_output_operator(kind: OutputKind, params: SystemParams) -> np.ndarray:
     if kind == OutputKind.CAVITY_D:
         return 1j * (a - a.conj().T) - 2.0 * params.eta * stx
     raise KindMismatch(f"unknown output kind {kind!r}")
-
-
-def heisenberg_derivative(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Heisenberg-picture time derivative i [H, X]."""
-    if x.shape != h.shape:
-        raise DimensionMismatch(f"operator shapes differ: {x.shape} vs {h.shape}")
-    assert_hermitian(h, name="Hamiltonian")
-    return 1j * (h @ x - x @ h)
 
 
 def parity_operator(n_fock: int) -> np.ndarray:

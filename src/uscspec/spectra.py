@@ -1,5 +1,5 @@
 """Incoherent emission spectra (quantum regression + resolvent solves) and
-coherent reflectivity, plus matrix-element reports backing the figure sweeps."""
+coherent reflectivity."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from enum import Enum
 import numpy as np
 
 from .dressed import DressedBasis, dressed_basis, frequency_components
-from .errors import ResolventSingular, UnknownLabel, ZeroDrive
+from .errors import ResolventSingular, ZeroDrive
 from .gme import (
     BathChannel,
     GmeConfig,
@@ -78,7 +78,7 @@ def emission_spectrum(
         return values
     with np.errstate(divide="ignore", invalid="ignore"):  # a pole on the grid raises below
         values = np.array([
-            float(np.real(np.sum(weights / (1j * omega - evals)))) for omega in grid
+            float((weights / (1j * omega - evals)).sum().real) for omega in grid
         ])
     if not np.isfinite(values).all():
         omega = grid[~np.isfinite(values)][0]
@@ -173,28 +173,3 @@ def reflectivity_spectrum(
         _s11(rho, x_probe_plus, gamma_port, b_in, omega_d)
         for rho, omega_d in zip(rho_minus1, omega_d_grid)
     ])
-
-
-def matrix_element_report(
-    sweep_values,
-    labeled_bases: list[DressedBasis],
-    operators: dict,
-    transitions: list[tuple[str, str]],
-) -> list[tuple[float, str, str, str, float]]:
-    """|<i|O|j>|^2 along a sweep for the requested labeled transitions, as
-    (sweep_value, i_label, j_label, operator, abs_sq) rows.
-
-    ``operators`` maps a name to the per-point list of dressed-basis matrices
-    (same length as the sweep).
-    """
-    rows = []
-    for name, mats in operators.items():
-        if len(mats) != len(labeled_bases):
-            raise UnknownLabel(f"operator {name!r}: {len(mats)} matrices for "
-                               f"{len(labeled_bases)} sweep points")
-        for value, basis, mat in zip(sweep_values, labeled_bases, mats):
-            for li, lj in transitions:
-                i = basis.index_of(li)
-                j = basis.index_of(lj)
-                rows.append((float(value), li, lj, name, float(abs(mat[i, j]) ** 2)))
-    return rows

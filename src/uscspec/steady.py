@@ -240,7 +240,7 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
     for j in range(m):
         w = apply(q[j])
         for _ in range(2):
-            c = q[:j + 1].conj() @ w
+            c = (q[:j + 1] @ w.conj()).conj()
             w -= c @ q[:j + 1]
             h[:j + 1, j] += c
         h[j + 1, j] = np.linalg.norm(w)

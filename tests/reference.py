@@ -1,14 +1,16 @@
 """Dense reference forms the tests check the package against.
 
 Superoperators act on row-major flattened density matrices, as in
-``uscspec.gme``: ``vec(X rho Y) = kron(X, Y.T) vec(rho)``. Everything here is
-built by Kronecker products, in O(d^4) memory, which is why none of it lives
-in the package.
+``uscspec.gme``: ``vec(X rho Y) = kron(X, Y.T) vec(rho)``. They are built by
+Kronecker products, in O(d^4) memory, which is why none of them lives in the
+package. The bare-basis Heisenberg derivative is the oracle of the package's
+dressed-basis one.
 """
 import numpy as np
 
+from uscspec.errors import DimensionMismatch
 from uscspec.gme import Commutator, thermal_occupation
-from uscspec.model import fock_op
+from uscspec.model import assert_hermitian, fock_op
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
@@ -37,6 +39,14 @@ def dissipator(op: np.ndarray) -> np.ndarray:
 def commutator_matrix(c: Commutator) -> np.ndarray:
     """The dense d^2 x d^2 array of rho -> coefficient [x, rho]."""
     return c.coefficient * (spre(c.x) - spost(c.x))
+
+
+def heisenberg_derivative(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Heisenberg-picture time derivative i [H, X], taken in the bare basis."""
+    if x.shape != h.shape:
+        raise DimensionMismatch(f"operator shapes differ: {x.shape} vs {h.shape}")
+    assert_hermitian(h, name="Hamiltonian")
+    return 1j * (h @ x - x @ h)
 
 
 def fock_phase_rotation(n_fock: int) -> np.ndarray:

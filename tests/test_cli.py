@@ -31,10 +31,18 @@ from uscspec.cli import (
     parse_config,
     resolved_dict,
 )
+from uscspec.dressed import dressed_basis, jc_initial_labels, label_states
 from uscspec.errors import ConfigInvalid, NoConvergence
 from uscspec.gme import ChannelKind, GmeConfig, SecularGenerator, build_gme
-from uscspec.model import OutputKind, SystemParams
+from uscspec.model import (
+    OutputKind,
+    SystemParams,
+    build_output_operator,
+    build_static_hamiltonian,
+)
 from uscspec.spectra import Normalization
+
+from reference import heisenberg_derivative
 
 
 def _emission_config(**overrides):
@@ -709,6 +717,53 @@ class TestMatelemsRun:
         assert manifest["config"]["matelems"]["operators"] == [["xdot_m", "X_M", True],
                                                                ["x_m", "X_M", False]]
 
+    @staticmethod
+    def _rows(tmp_path, cfg):
+        out = tmp_path / "out"
+        assert main(["matelems", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        with open(out / "matrix_elements.csv") as fh:
+            return list(csv.DictReader(fh))
+
+    def test_decoupled_capacitive_element(self, tmp_path):
+        # far-detuned decoupled limit: the first resonator excitation carries
+        # |<1|Xdot_C|0>|^2 = omega_r^2 = 1
+        cfg = _emission_config(
+            mode="matelems", system={"delta": 1.5, "epsilon": 0.0, "eta": 0.0, "n_fock": 4},
+            sweep={"parameter": "eta", "start": 0.0, "stop": 0.0, "points": 1},
+            matelems={"operators": [{"name": "xdot_c", "kind": "X_C"}],
+                      "transitions": [["0", "1-"]]})
+        rows = self._rows(tmp_path, cfg)
+        assert len(rows) == 1
+        assert float(rows[0]["abs_sq"]) == pytest.approx(1.0, rel=1e-12)
+
+    def test_sweep_rows_cover_all_requests(self, tmp_path):
+        # each row against the bare-basis derivative, or the operator itself,
+        # on the sweep's labeled bases
+        etas = np.linspace(0.1, 0.3, 3)
+        cfg = _emission_config(
+            mode="matelems", system={"delta": 1.0, "epsilon": 0.0, "eta": 0.1, "n_fock": 6},
+            sweep={"parameter": "eta", "start": 0.1, "stop": 0.3, "points": 3},
+            matelems={"operators": [{"name": "xdot_m", "kind": "X_M"},
+                                    {"name": "x_m", "kind": "X_M", "derivative": False}],
+                      "transitions": [["0", "1-"], ["0", "1+"]]})
+        rows = self._rows(tmp_path, cfg)
+        assert len(rows) == 2 * 3 * 2
+        assert {float(r["sweep_value"]) for r in rows} == set(etas)
+        assert all(float(r["abs_sq"]) >= 0 for r in rows)
+
+        params = [SystemParams(delta=1.0, epsilon=0.0, eta=e, n_fock=6) for e in etas]
+        bases = [dressed_basis(p) for p in params]
+        bases = label_states(bases, jc_initial_labels(params[0], bases[0]))
+        for r in rows:
+            k = etas.tolist().index(float(r["sweep_value"]))
+            x_m = build_output_operator(OutputKind.INDUCTIVE_M, params[k])
+            op = (heisenberg_derivative(x_m, build_static_hamiltonian(params[k]))
+                  if r["operator"] == "xdot_m" else x_m)
+            basis = bases[k]
+            element = basis.to_dressed(op)[basis.index_of(r["i_label"]),
+                                           basis.index_of(r["j_label"])]
+            assert float(r["abs_sq"]) == pytest.approx(abs(element) ** 2, rel=1e-10, abs=1e-14)
+
 
 class TestAuditRun:
     def test_audit_passes_converged_config(self, tmp_path):
@@ -773,6 +828,38 @@ class TestAuditRun:
         report = json.loads((out / "audit.json").read_text())
         assert report["result"] == "FAIL"
         assert not any(c["spectrum_ok"] for c in report["checks"])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_row_zero_at_both_cutoffs_passes(self, tmp_path):
+        # every bath at T = 0: rho_ss is the ground state, X+ rho_ss = 0 and
+        # the spectrum vanishes identically at both cutoffs
+        cfg = _emission_config()
+        cfg["baths"][1]["temperature"] = 0.0
+        cfg["system"]["n_fock"] = 12
+        cfg["grid"]["points"] = 5
+        out = tmp_path / "out"
+        assert main(["audit", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "audit.json").read_text())
+        assert [c["spectrum_rel_dev"] for c in report["checks"]] == [0.0] * 3
+        assert report["result"] == "PASS"
+
+    def test_zero_row_against_a_nonzero_one_fails(self, tmp_path, monkeypatch):
+        point_rows = uscspec.cli._point_rows
+
+        def zero_smaller_cutoff(config, params, grid, method):
+            rows = point_rows(config, params, grid, method)
+            return [0.0 * row for row in rows] if config.system.n_fock == 12 else rows
+
+        monkeypatch.setattr(uscspec.cli, "_point_rows", zero_smaller_cutoff)
+        cfg = _emission_config()
+        cfg["system"]["n_fock"] = 12
+        cfg["grid"]["points"] = 5
+        out = tmp_path / "out"
+        assert main(["audit", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "audit.json").read_text())
+        assert report["result"] == "FAIL"
+        assert all(c["spectrum_rel_dev"] == np.inf and not c["spectrum_ok"]
+                   for c in report["checks"])
 
     def test_reflectivity_audit_solves_every_probe_on_the_full_grid(self, tmp_path,
                                                                     monkeypatch):

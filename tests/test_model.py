@@ -21,7 +21,6 @@ from uscspec.model import (
     assert_hermitian,
     build_output_operator,
     build_static_hamiltonian,
-    heisenberg_derivative,
     parity_operator,
     qubit_frequency,
     qubit_op,
@@ -29,7 +28,7 @@ from uscspec.model import (
     sigma_tilde_x_2x2,
 )
 
-from reference import SIGMA_Y, fock_phase_rotation
+from reference import SIGMA_Y, fock_phase_rotation, heisenberg_derivative
 
 
 def interior_mask(dim: int, n_fock: int) -> np.ndarray:

@@ -3,12 +3,7 @@ import pytest
 
 from uscspec import spectra
 from uscspec.cli import load_config
-from uscspec.dressed import (
-    dressed_basis,
-    frequency_components,
-    jc_initial_labels,
-    label_states,
-)
+from uscspec.dressed import dressed_basis, frequency_components
 from uscspec.errors import NoConvergence, ResolventSingular, ZeroDrive
 from uscspec.gme import (
     GmeConfig,
@@ -22,7 +17,6 @@ from uscspec.model import (
     SystemParams,
     build_output_operator,
     build_static_hamiltonian,
-    heisenberg_derivative,
 )
 from uscspec.spectra import (
     PROBE_COUPLING,
@@ -30,10 +24,11 @@ from uscspec.spectra import (
     _s11,
     emission_probe,
     emission_spectrum,
-    matrix_element_report,
     reflectivity_spectrum,
 )
 from uscspec.steady import steady_state
+
+from reference import heisenberg_derivative
 
 
 def _emission_setup(eta=0.6, epsilon=0.0, n_fock=6, gamma_r=1e-3,
@@ -402,35 +397,3 @@ class TestTimeDomainOracle:
             self.TEMPERATURE, b_in, self.PHASE, config, 6)
         oracle = [self._time_domain_s11(wd, b_in, config) for wd in self.OMEGA_D]
         np.testing.assert_allclose(floquet, oracle, rtol=0, atol=1e-12)
-
-
-class TestMatrixElementReport:
-    def test_decoupled_capacitive_element(self):
-        # far-detuned decoupled limit: the first resonator excitation carries
-        # |<1|Xdot_C|0>|^2 = omega_r^2 = 1
-        params = SystemParams(delta=1.5, epsilon=0.0, eta=0.0, n_fock=4)
-        basis = dressed_basis(params)
-        labeled = label_states([basis], jc_initial_labels(params, basis))
-        h = build_static_hamiltonian(params)
-        xdot = basis.to_dressed(heisenberg_derivative(
-            build_output_operator(OutputKind.CAPACITIVE_C, params), h))
-        rows = matrix_element_report(
-            [0.0], labeled, {"xdot_c": [xdot]}, [("0", "1-")])
-        assert len(rows) == 1
-        assert rows[0][4] == pytest.approx(1.0, rel=1e-12)
-
-    def test_sweep_rows_cover_all_requests(self):
-        etas = [0.1, 0.2, 0.3]
-        params = [SystemParams(delta=1.0, epsilon=0.0, eta=e, n_fock=6)
-                  for e in etas]
-        bases = [dressed_basis(p) for p in params]
-        bases = label_states(bases, jc_initial_labels(params[0], bases[0]))
-        mats = {
-            "x_m": [b.to_dressed(build_output_operator(
-                OutputKind.INDUCTIVE_M, p)) for p, b in zip(params, bases)],
-        }
-        rows = matrix_element_report(etas, bases, mats,
-                                     [("0", "1-"), ("0", "1+")])
-        assert len(rows) == 6
-        assert {value for value, *_ in rows} == set(etas)
-        assert all(abs_sq >= 0 for *_, abs_sq in rows)
