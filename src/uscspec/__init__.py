@@ -12,7 +12,6 @@ if "numpy" not in sys.modules:
 from .model import (
     ModelKind,
     OutputKind,
-    QubitFrame,
     SystemParams,
     build_output_operator,
     build_static_hamiltonian,
@@ -65,7 +64,6 @@ __all__ = [
     "ModelKind",
     "Normalization",
     "OutputKind",
-    "QubitFrame",
     "SecularGenerator",
     "SystemParams",
     "UscSpecError",

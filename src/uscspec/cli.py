@@ -319,9 +319,9 @@ def parse_config(raw: dict) -> RunConfig:
                      emission_method=raw.get("emission_method", "auto"), **blocks)
 
 
-class _Loader(yaml.SafeLoader):
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """YAML 1.1, except that, as in YAML 1.2, a float may be written without a
-    dot (1e-3) and a mapping may not repeat a key."""
+    dot (1e-3) and a mapping may not repeat a key. Parsed by libyaml if PyYAML has it."""
 
     def construct_mapping(self, node, deep=False):
         keys = [(k.tag, k.value) for k, _ in node.value if isinstance(k, yaml.ScalarNode)]

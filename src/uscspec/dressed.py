@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import AmbiguousContinuation, DimensionMismatch, UnknownLabel
 from .model import (
-    QubitFrame,
     SystemParams,
     SIGMA_Z,
     annihilation,
@@ -150,7 +149,7 @@ def jc_initial_labels(params: SystemParams, basis: DressedBasis) -> tuple[str, .
     # rotating-wave part of eta (a + a^dag) sigma_tilde_x: the
     # transition component of sigma_tilde_x is -sin(theta) sigma_x, so the
     # JC coupling inherits that sign (it fixes which doublet member is "n-")
-    g = -params.eta * QubitFrame.from_params(params).sin_theta
+    g = -params.eta * params.sin_theta
     hjc = (
         0.5 * params.omega0 * qubit_op(SIGMA_Z, n_fock)
         + a.conj().T @ a

@@ -21,7 +21,6 @@ from .errors import EmptyChannels, InconsistentBasis, NonPositiveFrequency
 from .model import (
     ModelKind,
     OutputKind,
-    QubitFrame,
     SystemParams,
     SIGMA_X,
     build_output_operator,
@@ -176,7 +175,7 @@ def channel_operator(channel: BathChannel, params: SystemParams) -> np.ndarray:
         return build_output_operator(channel.jump_kind, params)
     if params.model_kind == ModelKind.CAVITY_QED:
         return qubit_op(SIGMA_X, params.n_fock)
-    return sigma_tilde_x(QubitFrame.from_params(params), params.n_fock)
+    return sigma_tilde_x(params)
 
 
 def build_gme(
@@ -228,8 +227,8 @@ def build_gme(
         return _secular_generator(terms, config, d)
     lg = np.zeros((d * d, d * d), dtype=complex)
     for ch, x, a_plus, w_n, w_n1 in terms:
-        lg += _filtered_dissipator(a_plus, wplus, w_n1, config.filter_b)
-        lg += _filtered_dissipator(a_plus.conj().T, wplus.T, w_n.T, config.filter_b)
+        _filtered_dissipator(lg, a_plus, wplus, w_n1, config.filter_b)
+        _filtered_dissipator(lg, a_plus.conj().T, wplus.T, w_n.T, config.filter_b)
         if ch.which == ChannelKind.QUBIT:
             lg[np.diag_indices_from(lg)] += _dephasing_rates(x, ch, config).reshape(-1)
     return lg
@@ -267,9 +266,10 @@ def _secular_generator(terms, config: GmeConfig, d: int) -> SecularGenerator:
     return SecularGenerator(rates - np.diag(escape), coherence)
 
 
-def _filtered_dissipator(j: np.ndarray, w: np.ndarray, g: np.ndarray, b: float) -> np.ndarray:
-    """Filtered dissipator of one jump operator J whose entry J[r, c] is a
-    transition at frequency w[r, c] with weight g[r, c]:
+def _filtered_dissipator(lg: np.ndarray, j: np.ndarray, w: np.ndarray, g: np.ndarray,
+                         b: float) -> None:
+    """Add to ``lg`` the filtered dissipator of one jump operator J whose
+    entry J[r, c] is a transition at frequency w[r, c] with weight g[r, c]:
 
         1/2 sum F(w1, w2) [(g1 + g2) J(w2) rho J(w1)^dag
                            - g2 J(w1)^dag J(w2) rho - g1 rho J(w1)^dag J(w2)]
@@ -278,24 +278,27 @@ def _filtered_dissipator(j: np.ndarray, w: np.ndarray, g: np.ndarray, b: float) 
     Petruccione, The Theory of Open Quantum Systems, sec. 3.3), with F the
     ``gaussian_filter`` of bandwidth b. F is symmetric, so the
     rho-on-the-left operator K = sum F g2 J(w1)^dag J(w2) gives the right
-    one as K^dag.
+    one as K^dag. It is added one row block of the superoperator at a time,
+    so no temporary is larger than d^3.
     """
     d = j.shape[0]
     g = 0.5 * g
-    # rho_cd -> (J rho J^dag)_ab = J[a, c] rho[c, d2] conj(J[b, d2]), laid
-    # out as (a, b, c, d2) for entry ((a, b), (c, d2)) of the superoperator
-    weight = gaussian_filter(w[:, None, :, None], w[None, :, None, :], b)
-    weight *= g[:, None, :, None] + g[None, :, None, :]
-    sup = j[:, None, :, None] * j.conj()[None, :, None, :]
-    sup *= weight
-    del weight
+    jc = j.conj()
     # (J^dag J)_ab = conj(J[c, a]) J[c, b], filtered on (w[c, a], w[c, b])
     f3 = gaussian_filter(w[:, :, None], w[:, None, :], b)
-    k = np.einsum("ca,cb,cab->ab", j.conj(), j, f3 * g[:, None, :])
-    # minus K rho and rho K^dag, on the diagonal views of kron(K, 1) and kron(1, conj(K))
-    np.einsum("abcb->abc", sup)[...] -= k[:, None, :]
-    np.einsum("abad->abd", sup)[...] -= k.conj()[None, :, :]
-    return sup.reshape(d * d, d * d)
+    k = np.einsum("ca,cb,cab->ab", jc, j, f3 * g[:, None, :])
+    lg4 = lg.reshape(d, d, d, d)
+    for a in range(d):
+        # rho_ce -> (J rho J^dag)_ab = J[a, c] rho[c, e] conj(J[b, e]), laid
+        # out as (b, c, e) for entry ((a, b), (c, e)) of the superoperator
+        weight = gaussian_filter(w[a][None, :, None], w[:, None, :], b)
+        weight *= g[a][None, :, None] + g[:, None, :]
+        row = j[a][None, :, None] * jc[:, None, :]
+        row *= weight
+        # minus K rho, the entries (b, c, b), and rho K^dag, the entries (b, a, e)
+        np.einsum("bcb->bc", row)[...] -= k[a][None, :]
+        row[:, a, :] -= k.conj()
+        lg4[a] += row
 
 
 def _dephasing_rates(

@@ -55,7 +55,8 @@ def qubit_frequency(delta: float, epsilon: float) -> float:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Physical parameters of the qubit-LC model (all in units of omega_r)."""
+    """Physical parameters of the qubit-LC model (all in units of omega_r), and
+    the qubit frame they set: cos(theta) = epsilon / omega0, sin(theta) = delta / omega0."""
 
     delta: float
     epsilon: float
@@ -86,30 +87,23 @@ class SystemParams:
     def omega0(self) -> float:
         return qubit_frequency(self.delta, self.epsilon)
 
+    @property
+    def cos_theta(self) -> float:
+        return self._mixing_angle()[0]
 
-@dataclass(frozen=True)
-class QubitFrame:
-    """Mixing-angle frame of the flux qubit: cos(theta) = eps/omega0, sin(theta) = delta/omega0."""
+    @property
+    def sin_theta(self) -> float:
+        return self._mixing_angle()[1]
 
-    omega0: float
-    cos_theta: float
-    sin_theta: float
-
-    @classmethod
-    def from_bias(cls, delta: float, epsilon: float) -> "QubitFrame":
-        omega0 = qubit_frequency(delta, epsilon)
+    def _mixing_angle(self) -> tuple[float, float]:
         # cos and sin come from the biases scaled by a power of two to order
         # one. The scaling is exact, so wherever epsilon / omega0 and
         # delta / omega0 are normal numbers the bits are the same as theirs;
         # subnormal biases no longer lose their ratio when hypot rounds.
-        _, exponent = math.frexp(max(abs(delta), abs(epsilon)))
-        d, e = math.ldexp(delta, -exponent), math.ldexp(epsilon, -exponent)
+        _, exponent = math.frexp(max(abs(self.delta), abs(self.epsilon)))
+        d, e = math.ldexp(self.delta, -exponent), math.ldexp(self.epsilon, -exponent)
         norm = math.hypot(d, e)
-        return cls(omega0=omega0, cos_theta=e / norm, sin_theta=d / norm)
-
-    @classmethod
-    def from_params(cls, params: SystemParams) -> "QubitFrame":
-        return cls.from_bias(params.delta, params.epsilon)
+        return e / norm, d / norm
 
 
 def destroy(n_fock: int) -> np.ndarray:
@@ -133,20 +127,20 @@ def annihilation(params: SystemParams) -> np.ndarray:
     return fock_op(destroy(params.n_fock))
 
 
-def sigma_tilde_x_2x2(frame: QubitFrame) -> np.ndarray:
+def sigma_tilde_x_2x2(params: SystemParams) -> np.ndarray:
     """cos(theta) sigma_z - sin(theta) sigma_x on the bare qubit space."""
-    return frame.cos_theta * SIGMA_Z - frame.sin_theta * SIGMA_X
+    return params.cos_theta * SIGMA_Z - params.sin_theta * SIGMA_X
 
 
-def sigma_tilde_x(frame: QubitFrame, n_fock: int) -> np.ndarray:
+def sigma_tilde_x(params: SystemParams) -> np.ndarray:
     """Flux-quadrature qubit operator embedded in the composite space."""
-    return qubit_op(sigma_tilde_x_2x2(frame), n_fock)
+    return qubit_op(sigma_tilde_x_2x2(params), params.n_fock)
 
 
-def assert_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "matrix") -> None:
+def assert_hermitian(m: np.ndarray, name: str = "matrix") -> None:
     scale = max(np.abs(m).max(), 1.0)
     dev = np.abs(m - m.conj().T).max()
-    if dev > tol * scale:
+    if dev > HERMITICITY_TOL * scale:
         raise NotHermitian(f"{name} deviates from Hermiticity by {dev:.3e} (scale {scale:.3e})")
 
 
@@ -158,11 +152,10 @@ def build_static_hamiltonian(params: SystemParams) -> np.ndarray:
     phase rotation a -> i a maps onto the circuit form; the coupling there is
     through the orthogonal quadrature i(a^dag - a).
     """
-    frame = QubitFrame.from_params(params)
     a = annihilation(params)
     number = a.conj().T @ a
-    stx = sigma_tilde_x(frame, params.n_fock)
-    h = 0.5 * frame.omega0 * qubit_op(SIGMA_Z, params.n_fock) + number
+    stx = sigma_tilde_x(params)
+    h = 0.5 * params.omega0 * qubit_op(SIGMA_Z, params.n_fock) + number
     if params.model_kind == ModelKind.CIRCUIT:
         h = h + params.eta * (a + a.conj().T) @ stx
     else:
@@ -189,9 +182,8 @@ def build_output_operator(kind: OutputKind, params: SystemParams) -> np.ndarray:
     """
     if kind == UNDEFINED_OUTPUT[params.model_kind]:
         raise KindMismatch(f"{kind.value} is not defined for the {params.model_kind.value} model")
-    frame = QubitFrame.from_params(params)
     a = annihilation(params)
-    stx = sigma_tilde_x(frame, params.n_fock)
+    stx = sigma_tilde_x(params)
     if kind == OutputKind.CAPACITIVE_C:
         return 1j * (a.conj().T - a)
     if kind == OutputKind.QUADRATURE:

@@ -4,10 +4,12 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
 import types
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -986,6 +988,34 @@ def test_readme_config_schema_parses_and_names_every_key():
         assert set(raw[key]) == names(cls), key
     assert set().union(*raw["baths"]) == names(BathSpec)
     assert set().union(*raw["matelems"]["operators"]) == {"name", "kind", "derivative"}
+
+
+class _PurePythonLoader(yaml.SafeLoader):
+    """The config rules of ``cli._Loader`` on PyYAML's pure-Python parser."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = [(k.tag, k.value) for k, _ in node.value if isinstance(k, yaml.ScalarNode)]
+        if len(set(keys)) < len(keys):
+            raise yaml.constructor.ConstructorError(None, None, "repeated key", node.start_mark)
+        return super().construct_mapping(node, deep)
+
+
+_PurePythonLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?[0-9]+(\.[0-9]*)?[eE][-+]?[0-9]+$"), list("-+0123456789"))
+
+
+def test_loader_parses_like_the_pure_python_one():
+    if yaml.__with_libyaml__:
+        assert issubclass(cli._Loader, yaml.CSafeLoader)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    texts = [readme.split("### Config schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]]
+    configs = resources.files("uscspec").joinpath("configs")
+    texts += [ref.read_text() for ref in configs.iterdir() if ref.name.endswith(".yaml")]
+    assert len(texts) == 4
+    texts.append("{a: 1e-3, b: -2E+4, c: 1.5e3, d: 3, e: [1.0, 1e0, '1e0', yes]}")
+    for text in texts:
+        fast, pure = (yaml.load(text, Loader=loader) for loader in (cli._Loader, _PurePythonLoader))
+        assert fast == pure and repr(fast) == repr(pure)  # repr tells 1 from 1.0
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

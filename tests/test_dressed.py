@@ -18,7 +18,6 @@ from uscspec.dressed import (
 from uscspec.errors import AmbiguousContinuation, NotHermitian, UnknownLabel
 from uscspec.model import (
     OutputKind,
-    QubitFrame,
     SystemParams,
     annihilation,
     build_output_operator,
@@ -93,7 +92,7 @@ class TestFrequencyComponents:
     def test_qubit_coupling_has_no_zero_component_at_zero_offset(self):
         p = SystemParams(delta=1.0, epsilon=0.0, eta=0.6, n_fock=10)
         basis = dressed_basis(p)
-        stx = basis.to_dressed(sigma_tilde_x(QubitFrame.from_params(p), p.n_fock))
+        stx = basis.to_dressed(sigma_tilde_x(p))
         assert np.abs(frequency_components(stx, "zero")).max() < 1e-12
 
     @given(seed=st.integers(0, 10_000))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,6 @@ from uscspec.gme import (
 )
 from uscspec.model import (
     OutputKind,
-    QubitFrame,
     SystemParams,
     build_output_operator,
     qubit_op,
@@ -343,6 +344,29 @@ class TestFilteredOracle:
         np.testing.assert_allclose(lm, ref, rtol=0, atol=1e-15)
 
 
+
+class TestDenseBuildMemory:
+    @pytest.mark.parametrize("eta, epsilon, n_fock, filter_b", [
+        (0.6, 0.3, 8, 0.05),
+        (0.0, 0.0, 10, 0.0),  # the evenly spaced ladder, dense at b = 0
+    ], ids=["filtered", "eta-0-ladder"])
+    def test_peak_stays_near_the_result(self, eta, epsilon, n_fock, filter_b):
+        # each filtered dissipator is added one superoperator row block at a
+        # time, so no d^4 temporary sits beside the d^2 x d^2 result
+        params = SystemParams(delta=1.0, epsilon=epsilon, eta=eta, n_fock=n_fock)
+        basis = dressed_basis(params)
+        channels = [resonator_channel(gamma=1e-3, temperature=0.2,
+                                      jump_kind=OutputKind.CAPACITIVE_C),
+                    qubit_channel(gamma=1e-2, temperature=0.1, delta=params.delta)]
+        tracemalloc.start()
+        try:
+            lg = build_gme(basis, channels, GmeConfig(filter_b=filter_b), params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(lg, np.ndarray)
+        assert peak < 1.5 * lg.nbytes, peak / lg.nbytes
+
 class TestDephasing:
     def test_vanishes_at_zero_bias(self):
         params = SystemParams(delta=1.0, epsilon=0.0, eta=0.6, n_fock=5)
@@ -442,8 +466,7 @@ class TestChannelOperator:
         params = SystemParams(delta=1.0, epsilon=0.4, eta=0.6, n_fock=5)
         ch = qubit_channel(gamma=1e-2, temperature=0.1, delta=params.delta)
         x = channel_operator(ch, params)
-        frame = QubitFrame.from_params(params)
-        np.testing.assert_allclose(x, sigma_tilde_x(frame, params.n_fock))
+        np.testing.assert_allclose(x, sigma_tilde_x(params))
 
     def test_qubit_channel_cavity_model_is_plain_sigma_x(self):
         from uscspec.model import ModelKind

@@ -15,7 +15,6 @@ from uscspec.model import (
     SIGMA_Z,
     ModelKind,
     OutputKind,
-    QubitFrame,
     SystemParams,
     annihilation,
     assert_hermitian,
@@ -79,17 +78,17 @@ def test_kind_is_stored_converted_and_numpy_cutoff_accepted():
 
 class TestSigmaTildeX:
     def test_zero_offset_is_minus_sigma_x(self):
-        frame = QubitFrame.from_bias(1.0, 0.0)  # theta = pi/2
-        np.testing.assert_allclose(sigma_tilde_x_2x2(frame), -SIGMA_X, atol=1e-15)
+        p = SystemParams(1.0, 0.0, 0.0)  # theta = pi/2
+        np.testing.assert_allclose(sigma_tilde_x_2x2(p), -SIGMA_X, atol=1e-15)
 
     def test_zero_tunneling_is_sigma_z(self):
-        frame = QubitFrame.from_bias(0.0, 1.0)  # theta = 0
-        np.testing.assert_allclose(sigma_tilde_x_2x2(frame), SIGMA_Z, atol=1e-15)
+        p = SystemParams(0.0, 1.0, 0.0)  # theta = 0
+        np.testing.assert_allclose(sigma_tilde_x_2x2(p), SIGMA_Z, atol=1e-15)
 
     def test_diagonal_bias(self):
-        frame = QubitFrame.from_bias(1.0, 1.0)
+        p = SystemParams(1.0, 1.0, 0.0)
         expected = (SIGMA_Z - SIGMA_X) / np.sqrt(2.0)
-        s = sigma_tilde_x_2x2(frame)
+        s = sigma_tilde_x_2x2(p)
         np.testing.assert_allclose(s, expected, atol=1e-15)
         np.testing.assert_allclose(s @ s, np.eye(2), atol=1e-14)
 
@@ -98,8 +97,8 @@ class TestSigmaTildeX:
     def test_squares_to_identity(self, delta, epsilon):
         if delta == 0.0 and epsilon == 0.0:
             return
-        frame = QubitFrame.from_bias(delta, epsilon)
-        s = sigma_tilde_x_2x2(frame)
+        p = SystemParams(delta, epsilon, 0.0)
+        s = sigma_tilde_x_2x2(p)
         np.testing.assert_allclose(s @ s, np.eye(2), atol=1e-12)
 
     @pytest.mark.parametrize("delta, epsilon", [
@@ -108,9 +107,9 @@ class TestSigmaTildeX:
     def test_subnormal_bias_squares_to_identity(self, delta, epsilon):
         # hypot rounds a subnormal pair to the nearest subnormal, which once
         # made cos and sin both 1
-        frame = QubitFrame.from_bias(delta, epsilon)
-        assert frame.cos_theta**2 + frame.sin_theta**2 == pytest.approx(1.0, abs=1e-15)
-        s = sigma_tilde_x_2x2(frame)
+        p = SystemParams(delta, epsilon, 0.0)
+        assert p.cos_theta**2 + p.sin_theta**2 == pytest.approx(1.0, abs=1e-15)
+        s = sigma_tilde_x_2x2(p)
         np.testing.assert_allclose(s @ s, np.eye(2), atol=1e-12)
 
 
@@ -149,7 +148,7 @@ class TestStaticHamiltonian:
         h2 = build_static_hamiltonian(SystemParams(eta=eta2, **base))
         p = SystemParams(eta=eta1, **base)
         a = annihilation(p)
-        stx = sigma_tilde_x(QubitFrame.from_params(p), p.n_fock)
+        stx = sigma_tilde_x(p)
         expected = (eta2 - eta1) * (a + a.conj().T) @ stx
         np.testing.assert_allclose(h2 - h1, expected, atol=1e-12)
 
@@ -229,7 +228,7 @@ class TestHeisenbergDerivative:
         h = build_static_hamiltonian(p)
         xc = build_output_operator(OutputKind.CAPACITIVE_C, p)
         a = annihilation(p)
-        stx = sigma_tilde_x(QubitFrame.from_params(p), p.n_fock)
+        stx = sigma_tilde_x(p)
         expected = -(a + a.conj().T + 2 * p.eta * stx)
         dev = heisenberg_derivative(xc, h) - expected
         assert np.abs(dev[interior_mask(p.dim, p.n_fock)]).max() < 1e-12
@@ -239,10 +238,9 @@ class TestHeisenbergDerivative:
         h = build_static_hamiltonian(p)
         xm = build_output_operator(OutputKind.INDUCTIVE_M, p)
         a = annihilation(p)
-        frame = QubitFrame.from_params(p)
         expected = (
             1j * (a.conj().T - a)
-            - 2 * p.eta * frame.omega0 * frame.sin_theta * qubit_op(SIGMA_Y, p.n_fock)
+            - 2 * p.eta * p.omega0 * p.sin_theta * qubit_op(SIGMA_Y, p.n_fock)
         )
         # exact under truncation: no boundary exclusion needed
         np.testing.assert_allclose(heisenberg_derivative(xm, h), expected, atol=1e-13)
