@@ -21,7 +21,6 @@ import dataclasses
 import json
 import re
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from importlib import resources
@@ -453,25 +452,13 @@ def run_eigen(config: RunConfig, out_dir: Path, threads: int) -> None:
     write_manifest(out_dir, config)
 
 
-@contextmanager
-def _point_failure(config: RunConfig, params: SystemParams, probe: OutputKind):
-    """Re-raise a solver error of one (sweep point, probe) as a SolverFailure
-    that names the probe and the sweep coordinate."""
-    try:
-        yield
-    except UscSpecError as exc:
-        where = f"probe={probe.value}"
-        if config.sweep.parameter != "none":
-            where += f" {config.sweep.parameter}={getattr(params, config.sweep.parameter)}"
-        raise SolverFailure(f"{where}: {exc}") from exc
-
-
-def _point_rows(config: RunConfig, params: SystemParams, grid: np.ndarray,
-                method: str) -> list[np.ndarray]:
+def _point_rows(config: RunConfig, params: SystemParams) -> list[np.ndarray]:
     """The row of each probe at one sweep point: the emission spectrum over
-    the frequencies ``grid`` (by ``method``), or |S11| over the drive
-    frequencies ``grid``. Emission probes share one dressed basis;
-    reflectivity probes that share a port coupling share its Floquet solves."""
+    the config's frequency grid, or |S11| over its drive frequencies. Emission
+    probes share one dressed basis; reflectivity probes that share a port
+    coupling share its Floquet solves. A solver error is re-raised as a
+    SolverFailure that names the probe and the sweep coordinate."""
+    grid, method = _grid_and_method(config)
     reflectivity = config.mode == "reflectivity"
     if reflectivity:
         qubit = next(b for b in config.baths
@@ -479,7 +466,7 @@ def _point_rows(config: RunConfig, params: SystemParams, grid: np.ndarray,
         port = next(b for b in config.baths if b.which == ChannelKind.RESONATOR)
     rows, basis, solved = [], None, {}
     for probe in config.probes:
-        with _point_failure(config, params, probe):
+        try:
             if reflectivity:
                 row = reflectivity_spectrum(
                     params, probe, grid, qubit, port.gamma, port.temperature,
@@ -495,6 +482,11 @@ def _point_rows(config: RunConfig, params: SystemParams, grid: np.ndarray,
                 rho = steady_state(l_total)
                 x_dot = emission_probe(params, probe, basis)
                 row = emission_spectrum(l_total, rho, x_dot, grid, method=method)
+        except UscSpecError as exc:
+            where = f"probe={probe.value}"
+            if config.sweep.parameter != "none":
+                where += f" {config.sweep.parameter}={getattr(params, config.sweep.parameter)}"
+            raise SolverFailure(f"{where}: {exc}") from exc
         rows.append(row)
     return rows
 
@@ -531,8 +523,7 @@ def run_spectra(config: RunConfig, out_dir: Path, threads: int) -> None:
     CSV is written, so a failing point leaves no partial output."""
     values, params_list = _sweep_params(config)
     grid, method = _grid_and_method(config)
-    maps = _parallel_map(partial(_point_rows, config, grid=grid, method=method),
-                         params_list, threads)
+    maps = _parallel_map(partial(_point_rows, config), params_list, threads)
     sweep_col = (f"{config.sweep.parameter}_over_omega_r"
                  if config.sweep.parameter != "none" else "point")
     for k, probe in enumerate(config.probes):
@@ -570,8 +561,8 @@ def run_matelems(config: RunConfig, out_dir: Path, threads: int) -> None:
 # convergence audit
 # ---------------------------------------------------------------------------
 
-def _audit_point(config: RunConfig, bigger: RunConfig, grid: np.ndarray | None,
-                 method: str | None, point: tuple[float, SystemParams, SystemParams]) -> dict:
+def _audit_point(config: RunConfig, bigger: RunConfig,
+                 point: tuple[float, SystemParams, SystemParams]) -> dict:
     """The check of one (sweep value, params, params in ``bigger``) point: its
     low energies and, in the spectrum modes, every probe's row over the grid."""
     value, params, params_big = point
@@ -584,8 +575,7 @@ def _audit_point(config: RunConfig, bigger: RunConfig, grid: np.ndarray | None,
     check = {"sweep_value": float(value), "n_fock": params.n_fock, "energy_dev": dev,
              "energy_ok": bool(dev <= ENERGY_AUDIT_TOL)}
     if config.mode in SPECTRUM_MODES:
-        small, big = (_point_rows(c, p, grid, method)
-                      for c, p in ((config, params), (bigger, params_big)))
+        small, big = _point_rows(config, params), _point_rows(bigger, params_big)
         # np.max, not max: a NaN deviation on any probe must FAIL. A row that
         # is zero at both cutoffs deviates by 0, and by inf against a nonzero one
         devs = [np.abs(s - b).max() for s, b in zip(small, big)]
@@ -606,8 +596,7 @@ def run_audit(config: RunConfig, out_dir: Path, threads: int) -> None:
     values, params_list = _sweep_params(config)
     if config.mode == "matelems":  # reject a transition label as run_matelems does
         _labeled_bases(config, params_list[:1])
-    grid, method = _grid_and_method(config) if config.mode in SPECTRUM_MODES else (None, None)
-    checks = _parallel_map(partial(_audit_point, config, bigger, grid, method),
+    checks = _parallel_map(partial(_audit_point, config, bigger),
                            list(zip(values, params_list, _sweep_params(bigger)[1])), threads)
 
     ok = all(c["energy_ok"] and c.get("spectrum_ok", True) for c in checks)

@@ -49,7 +49,8 @@ def emission_spectrum(
     weights probe_ab b_ab, and ``method`` plays no part. On a dense L,
     ``method="solve"`` performs one shifted dense solve per grid point and
     ``method="eig"`` diagonalizes L once and evaluates the resolvent as a
-    pole sum, which wins for long grids.
+    pole sum, which wins for long grids. Every path raises ResolventSingular
+    where S is not finite: a pole on the grid, or a NaN or infinite L or rho.
     """
     grid = np.asarray(grid, dtype=float)
     if not np.all(np.diff(grid) > 0):
@@ -58,16 +59,7 @@ def emission_spectrum(
         raise ValueError(f"unknown method {method!r}")
     b = (frequency_components(x_dot, "plus") @ rho_ss).reshape(-1)
     probe = frequency_components(x_dot, "minus").T.reshape(-1)  # Tr[X- M] = vec(X-^T) . vec(M)
-    if isinstance(l, SecularGenerator):
-        live = np.flatnonzero((b != 0) & (probe != 0))
-        evals, weights = l.coherence.reshape(-1)[live], probe[live] * b[live]
-    elif method == "eig":
-        try:
-            evals, evecs = np.linalg.eig(l)
-            weights = (probe @ evecs) * np.linalg.solve(evecs, b)
-        except np.linalg.LinAlgError as exc:
-            raise ResolventSingular(f"Liouvillian eigenbasis failed: {exc}") from exc
-    else:
+    if method == "solve" and not isinstance(l, SecularGenerator):
         eye = np.eye(l.shape[0], dtype=complex)
         values = np.empty(grid.size)
         for idx, omega in enumerate(grid):
@@ -75,14 +67,23 @@ def emission_spectrum(
                 values[idx] = np.real(probe @ np.linalg.solve(1j * omega * eye - l, b))
             except np.linalg.LinAlgError as exc:
                 raise ResolventSingular(f"resolvent singular at omega={omega}: {exc}") from exc
-        return values
-    with np.errstate(divide="ignore", invalid="ignore"):  # a pole on the grid raises below
-        values = np.array([
-            float((weights / (1j * omega - evals)).sum().real) for omega in grid
-        ])
+    else:
+        if isinstance(l, SecularGenerator):
+            live = np.flatnonzero((b != 0) & (probe != 0))
+            evals, weights = l.coherence.reshape(-1)[live], probe[live] * b[live]
+        else:
+            try:
+                evals, evecs = np.linalg.eig(l)
+                weights = (probe @ evecs) * np.linalg.solve(evecs, b)
+            except np.linalg.LinAlgError as exc:
+                raise ResolventSingular(f"Liouvillian eigenbasis failed: {exc}") from exc
+        with np.errstate(divide="ignore", invalid="ignore"):  # a pole on the grid raises below
+            values = np.array([
+                float((weights / (1j * omega - evals)).sum().real) for omega in grid
+            ])
     if not np.isfinite(values).all():
         omega = grid[~np.isfinite(values)][0]
-        raise ResolventSingular(f"resolvent singular at omega={omega}: the pole sum is not finite")
+        raise ResolventSingular(f"resolvent singular at omega={omega}: the spectrum is not finite")
     return values
 
 

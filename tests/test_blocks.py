@@ -10,7 +10,12 @@ import yaml
 
 from uscspec import cli, gme, steady
 from uscspec.dressed import dressed_basis, frequency_components
-from uscspec.errors import DegenerateSteadyState, NoConvergence, UscSpecError
+from uscspec.errors import (
+    DegenerateSteadyState,
+    NoConvergence,
+    ResolventSingular,
+    UscSpecError,
+)
 from uscspec.gme import (
     GmeConfig,
     SecularGenerator,
@@ -262,3 +267,8 @@ def test_non_finite_generators_raise_typed_errors():
     drive = build_drive_superoperators(x, 1e-3, 1e-2, 0.0, 1.0)
     with pytest.raises(UscSpecError):
         floquet_harmonics(lm, replace(drive, coefficient=np.nan), 1.0)
+    x_dot = emission_probe(params, OutputKind.CAPACITIVE_C, basis)
+    for method in ("eig", "solve"):  # a NaN rho on the dense L, on either path
+        with pytest.raises(ResolventSingular, match="omega="):
+            emission_spectrum(lm.matrix, np.full((params.dim,) * 2, np.nan), x_dot, GRID,
+                              method=method)

@@ -550,8 +550,10 @@ class TestEmissionRun:
             np.testing.assert_array_equal(s_norm, s_raw)
         np.testing.assert_array_equal(log_s, np.log10(np.maximum(s_norm, 1e-3)))
 
-    def test_failing_probe_writes_no_csv(self, tmp_path, monkeypatch):
-        # every X_M point fails at run time, after X_C has passed there
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failing_probe_writes_no_csv(self, tmp_path, monkeypatch, threads):
+        # every X_M point fails at run time, after X_C has passed there; on
+        # the fork pool the first failing point in sweep order is reported
         probe = uscspec.cli.emission_probe
 
         def failing(params, kind, basis):
@@ -564,8 +566,11 @@ class TestEmissionRun:
         cfg["system"].update(n_fock=4)
         path = _write(tmp_path, cfg)
         out = tmp_path / "out"
-        assert main(["emission", "--config", path, "--out", str(out)]) == 3
-        assert json.loads((out / "error.json").read_text())["type"] == "SolverFailure"
+        assert main(["emission", "--config", path, "--out", str(out),
+                     "--threads", threads]) == 3
+        error = json.loads((out / "error.json").read_text())
+        assert error["type"] == "SolverFailure"
+        assert error["error"] == "probe=X_M eta=0.2: injected solver failure"
         assert not list(out.glob("emission_*.csv"))
 
 
@@ -815,8 +820,8 @@ class TestAuditRun:
     def test_nan_deviation_on_a_later_probe_fails(self, tmp_path, monkeypatch):
         point_rows = uscspec.cli._point_rows
 
-        def nan_second_probe(config, params, grid, method):
-            rows = point_rows(config, params, grid, method)
+        def nan_second_probe(config, params):
+            rows = point_rows(config, params)
             if config.system.n_fock == 22:
                 rows[1] = np.full_like(rows[1], np.nan)
             return rows
@@ -848,8 +853,8 @@ class TestAuditRun:
     def test_zero_row_against_a_nonzero_one_fails(self, tmp_path, monkeypatch):
         point_rows = uscspec.cli._point_rows
 
-        def zero_smaller_cutoff(config, params, grid, method):
-            rows = point_rows(config, params, grid, method)
+        def zero_smaller_cutoff(config, params):
+            rows = point_rows(config, params)
             return [0.0 * row for row in rows] if config.system.n_fock == 12 else rows
 
         monkeypatch.setattr(uscspec.cli, "_point_rows", zero_smaller_cutoff)
@@ -954,13 +959,12 @@ def test_measured_configs_run_the_secular_layout(monkeypatch):
     configs.update((name, parse_config(raw)) for name, raw in run.WORKLOADS.items())
     for name, config in configs.items():
         layouts.clear()
-        grid, method = cli._grid_and_method(config)
         _, params_list = cli._sweep_params(config)
         for params in params_list:
             for probe in config.probes:
                 one_probe = dataclasses.replace(config, probes=(probe,))
                 with pytest.raises(_Built):
-                    cli._point_rows(one_probe, params, grid, method)
+                    cli._point_rows(one_probe, params)
         assert layouts == [SecularGenerator] * (len(params_list) * len(config.probes)), name
 
 
