@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import re
 import sys
@@ -369,11 +370,13 @@ def resolved_dict(config: RunConfig) -> dict:
 # deterministic output helpers
 # ---------------------------------------------------------------------------
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, header: list[str], rows: list) -> None:
+    """Each column keeps the type of its first row: a str as is, a number as %.17g."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else "%.17g" % v for v in row) + "\n")
+        if rows:
+            fmt = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) + "\n"
+            fh.writelines(fmt % tuple(row) for row in rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -641,6 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    gc.freeze()  # exit leaves what is loaded now to the OS; forked workers share its pages
     out_dir = None  # until --out is read, an error is reported on stderr only
     try:
         args, extra = build_parser().parse_known_args(argv)

@@ -57,7 +57,8 @@ def emission_spectrum(
         raise ValueError("frequency grid must be strictly increasing")
     if method not in ("eig", "solve"):
         raise ValueError(f"unknown method {method!r}")
-    b = (frequency_components(x_dot, "plus") @ rho_ss).reshape(-1)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite rho raises below
+        b = (frequency_components(x_dot, "plus") @ rho_ss).reshape(-1)
     probe = frequency_components(x_dot, "minus").T.reshape(-1)  # Tr[X- M] = vec(X-^T) . vec(M)
     if method == "solve" and not isinstance(l, SecularGenerator):
         eye = np.eye(l.shape[0], dtype=complex)

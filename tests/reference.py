@@ -4,7 +4,7 @@ Superoperators act on row-major flattened density matrices, as in
 ``uscspec.gme``: ``vec(X rho Y) = kron(X, Y.T) vec(rho)``. They are built by
 Kronecker products, in O(d^4) memory, which is why none of them lives in the
 package. The bare-basis Heisenberg derivative is the oracle of the package's
-dressed-basis one.
+dressed-basis one, and ``write_csv`` of the CLI's.
 """
 import numpy as np
 
@@ -74,3 +74,11 @@ def pairwise_lindblad(energies: np.ndarray, x: np.ndarray, gamma: float,
             ref += rate * (n_th + 1) * dissipator(jump)
             ref += rate * n_th * dissipator(jump.conj().T)
     return ref
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """The CSV rows of ``uscspec.cli.write_csv``, each value formatted on its own."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else "%.17g" % v for v in row) + "\n")

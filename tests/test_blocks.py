@@ -2,6 +2,7 @@
 the whole matrix, the ``SecularGenerator`` that carries that layout from
 ``build_gme`` to the solvers, and the typed errors of the solvers on
 non-finite generators."""
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -272,3 +273,9 @@ def test_non_finite_generators_raise_typed_errors():
         with pytest.raises(ResolventSingular, match="omega="):
             emission_spectrum(lm.matrix, np.full((params.dim,) * 2, np.nan), x_dot, GRID,
                               method=method)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf * 0 in Xdot+ rho must not warn before the raise
+        for l, method in ((lm, "eig"), (lm.matrix, "eig"), (lm.matrix, "solve")):
+            with pytest.raises(ResolventSingular, match="omega="):
+                emission_spectrum(l, np.full((params.dim,) * 2, np.inf), x_dot, GRID,
+                                  method=method)

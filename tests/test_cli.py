@@ -44,6 +44,7 @@ from uscspec.model import (
 )
 from uscspec.spectra import Normalization
 
+import reference
 from reference import heisenberg_derivative
 
 
@@ -1020,6 +1021,63 @@ def test_loader_parses_like_the_pure_python_one():
     for text in texts:
         fast, pure = (yaml.load(text, Loader=loader) for loader in (cli._Loader, _PurePythonLoader))
         assert fast == pure and repr(fast) == repr(pure)  # repr tells 1 from 1.0
+
+
+@pytest.mark.parametrize("rows", [
+    [(0.1, "0", "1-", 1, np.float64(np.nan), 5e-324),
+     (np.inf, "10", "g+", -3, np.float64(-0.0), 1 / 3),
+     (-np.inf, "", "2-", 2**53 + 1, np.float64(1e300), -5e-324)],
+    [[np.nan, -0.0, 0.0], [1e-300, np.inf, 7.0]],  # as ndarray.tolist() gives them
+    [],
+], ids=["eigen-like", "float-lists", "header-only"])
+def test_csv_rows_match_the_per_value_writer(tmp_path, rows):
+    header = [f"c{k}" for k in range(len(rows[0]) if rows else 3)]
+    cli.write_csv(tmp_path / "one_format.csv", header, rows)
+    reference.write_csv(tmp_path / "per_value.csv", header, rows)
+    assert ((tmp_path / "one_format.csv").read_bytes()
+            == (tmp_path / "per_value.csv").read_bytes())
+
+
+def _main_in_a_fresh_interpreter(argv: list[str]) -> tuple[list[str], str]:
+    """What a new process prints after ``cli.main(argv)``: its exit code and
+    whether ``main`` froze the objects alive, and its standard error."""
+    src = str(Path(uscspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import gc, sys, uscspec.cli; rc = uscspec.cli.main(sys.argv[1:]); "
+            "print(rc, gc.get_freeze_count() > 0)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+                          capture_output=True, text=True)
+    return proc.stdout.split(), proc.stderr
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_frozen_run_writes_the_bytes_of_an_in_process_one(tmp_path, threads):
+    # objects frozen in main are left to the OS at exit: no output may go with them
+    argv = ["emission", "--config", _write(tmp_path, _emission_config(probes=["X_C", "X_M"])),
+            "--threads", threads, "--out"]
+    assert _main_in_a_fresh_interpreter([*argv, str(tmp_path / "fresh")])[0] == ["0", "True"]
+    assert main([*argv, str(tmp_path / "in_process")]) == 0
+    fresh, in_process = ({f.name: f.read_bytes() for f in sorted((tmp_path / run).iterdir())}
+                         for run in ("fresh", "in_process"))
+    assert fresh == in_process
+    assert set(fresh) == {"emission_X_C.csv", "emission_X_M.csv", "manifest.json"}
+
+
+@pytest.mark.parametrize("cfg, rc, error_type", [
+    (_emission_config(bogus=1), "2", "ConfigInvalid"),
+    (_emission_config(sweep={"parameter": "none"},  # undamped: no unique steady state
+                      baths=[{"which": "qubit", "gamma": 0.0, "temperature": 0.1}]),
+     "3", "SolverFailure"),
+], ids=["config-invalid", "solver-error"])
+def test_frozen_run_reports_its_failure(tmp_path, cfg, rc, error_type):
+    out = tmp_path / "out"
+    printed, stderr = _main_in_a_fresh_interpreter(
+        ["emission", "--config", _write(tmp_path, cfg), "--out", str(out)])
+    assert printed == [rc, "True"]
+    report = json.loads((out / "error.json").read_text())
+    assert report["type"] == error_type
+    assert json.loads(stderr.strip().splitlines()[-1]) == report
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
